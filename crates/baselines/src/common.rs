@@ -14,7 +14,9 @@ pub struct DeepProtocol {
     pub win_len: usize,
     /// Windows per batch.
     pub batch: usize,
-    /// Training epochs over the (scaled) training split.
+    /// Training epochs over the (scaled) training split. One epoch is one
+    /// Adam step per batch of `batch` windows, so a split that yields at
+    /// most `batch` windows gets one step per epoch.
     pub epochs: usize,
     /// Adam learning rate.
     pub lr: f32,

@@ -197,7 +197,8 @@ mod tests {
         // (and lag-2 is *always* clamped), putting an MSE floor of ~0.5 on
         // even a perfectly trained model. win_len = 4·period gives 3/4 of
         // the positions a real one-period lag, and the denser stride plus
-        // larger lr give a few hundred optimizer steps — the seasonal break
+        // larger lr give 80 optimizer steps (640 rows at stride 8 make 73
+        // windows, 5 batches of 16, times 16 epochs) — the seasonal break
         // then clears the margin with real headroom.
         let proto = DeepProtocol {
             win_len: 64,

@@ -49,19 +49,31 @@ fn timesnet_lite_beats_pointwise_methods_on_seasonal_anomalies() {
     // features are edge-clamped and lag-2 is always clamped, flooring the
     // reconstructor's MSE even when perfectly trained (same failure mode the
     // timesnet_lite unit test hit). win_len = 4·period plus a denser stride
-    // and larger lr give the lag-MLP real one-period context and enough
-    // optimizer steps; divisor 50 keeps the train split long enough
-    // (800 rows) to cut full 200-step windows.
+    // and larger lr give the lag-MLP real one-period context; divisor 50
+    // keeps the train split long enough (800 rows) to cut full 200-step
+    // windows. Step count: 800 rows at win_len 200, stride 20 make 31
+    // windows, one batch of 32 per epoch, so `epochs` is the number of Adam
+    // steps. At 8 the lag-MLP is still untrained (validation error ~1.4, a
+    // magnitude detector); 100 steps train it.
     let bench = generate(DatasetKind::NipsTsSeasonal, 13, 50);
     let proto = DeepProtocol {
         win_len: 200,
-        epochs: 8,
+        epochs: 100,
         lr: 1e-2,
         train_stride: 20,
         ..DeepProtocol::default()
     };
     let mut tn = TimesNetLite::new(proto);
     tn.fit(&bench.train, &bench.val);
+    // Premise: the period fold is trained. The validation split has no
+    // injected anomalies and is z-scored with the train statistics, so a
+    // model that predicts zero scores ~1.0 there; a trained one is well below.
+    let val_scores = tn.score(&bench.val);
+    let val_mean = val_scores.iter().sum::<f32>() / val_scores.len() as f32;
+    assert!(
+        val_mean < 0.5,
+        "TimesNet-lite is untrained: mean reconstruction error {val_mean:.3} on the clean validation split"
+    );
     let tn_auc = roc_auc(&tn.score(&bench.test), &bench.test_labels);
 
     let mut iforest = IsolationForest::new(100, 256, 13);
