@@ -122,7 +122,6 @@ impl Detector for AnomalyTransformerLite {
             heads,
             d_ff: p.d_model * 2,
             layers: 1,
-            dropout: 0.0,
             activation: Activation::Gelu,
         };
         let mut state = State {

@@ -97,7 +97,6 @@ impl Detector for DcDetectorLite {
             heads: 4.min(p.d_model),
             d_ff: p.d_model * 2,
             layers: 1,
-            dropout: 0.0,
             activation: Activation::Gelu,
         };
         let mut state = State {

@@ -172,7 +172,6 @@ impl Detector for TransformerRecon {
             heads: 4.min(p.d_model),
             d_ff: p.d_model * 2,
             layers: self.layers,
-            dropout: 0.0,
             activation: Activation::Gelu,
         };
         let mut state = TransState {

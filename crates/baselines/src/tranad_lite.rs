@@ -78,7 +78,6 @@ impl Detector for TranAdLite {
             heads: 4.min(p.d_model),
             d_ff: p.d_model * 2,
             layers: self.layers,
-            dropout: 0.0,
             activation: Activation::Gelu,
         };
         let mut state = State {

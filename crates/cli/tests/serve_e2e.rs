@@ -133,6 +133,34 @@ fn serve_without_threshold_or_val_is_a_usage_error() {
 }
 
 #[test]
+fn serve_exits_4_on_a_format_3_checkpoint() {
+    let dir = tmpdir("format3");
+    let (model, data) = prepared(&dir);
+    // Re-stamp the frame as version 3 with a valid header CRC: a file
+    // from before the format break, not a damaged one.
+    let mut bytes = std::fs::read(&model).unwrap();
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let head_end = 16 + 16 * count;
+    let crc = tfmae_core::checkpoint::crc32_ieee(&bytes[..head_end]);
+    bytes[head_end..head_end + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&model, &bytes).unwrap();
+    let out = bin()
+        .args(["serve", "--threshold", "0.5", "--model"])
+        .arg(&model)
+        .arg("--input")
+        .arg(data.join("test.csv"))
+        .arg("--out-dir")
+        .arg(dir.join("verdicts"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "a format-3 checkpoint is a checkpoint error: {stderr}");
+    assert!(stderr.contains("version 3") && stderr.contains("retrain"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn serve_rejects_out_of_range_hop_threshold_and_refresh_every() {
     let dir = tmpdir("badrange");
     let (model, data) = prepared(&dir);

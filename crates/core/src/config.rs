@@ -26,21 +26,6 @@ pub enum FreqMaskKind {
     None,
 }
 
-/// Anomaly-score criterion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScoreKind {
-    /// Eq. 16: symmetric KL between the softmax-normalized latent
-    /// representations of the two views (the paper's criterion).
-    LatentKl,
-    /// Discrepancy between the two views' *reconstructions* in data space:
-    /// `mean_n (rec_T[t,n] − rec_F[t,n])²`. Same contrastive principle
-    /// ("normal-recovered vs original-abnormal views disagree"), measured
-    /// after the recovery heads; sharper on short training schedules.
-    DualRecon,
-    /// Sum of both (latent KL is scale-normalized by its window mean).
-    Combined,
-}
-
 /// Objective-function variants (Table IV).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdversarialMode {
@@ -52,6 +37,13 @@ pub enum AdversarialMode {
     /// `w/ L_radv`: roles of `P` and `F` swapped in Eq. 15.
     Reversed,
 }
+
+/// Longest window a config may describe (the paper fixes 100). The
+/// positional tables, `win_len × d_model` floats each, are the one buffer
+/// the model sizes from the config rather than from stored parameters, so
+/// this bound is what keeps a checkpoint's config from asking the loader
+/// for an allocation the file does not pay for.
+pub const MAX_WIN_LEN: usize = 8192;
 
 /// Full hyper-parameter set for TFMAE.
 #[derive(Clone, Debug)]
@@ -67,8 +59,6 @@ pub struct TfmaeConfig {
     pub d_ff: usize,
     /// Transformer layers `L` (paper default 3).
     pub layers: usize,
-    /// Dropout probability.
-    pub dropout: f32,
     /// Sliding-window length `W` for the coefficient of variation (paper 10).
     pub cv_window: usize,
     /// Temporal masking ratio `r_T` (fraction, e.g. 0.55).
@@ -104,20 +94,11 @@ pub struct TfmaeConfig {
     /// "recovery" of Fig. 5; Eq. 15 alone does not tie representations to
     /// the data — see DESIGN.md §3).
     pub recon_weight: f32,
-    /// Weight of the adversarial contrastive objective (Eq. 14–15).
-    pub contrastive_weight: f32,
-    /// Relative weight of the max-phase (repel) term inside Eq. 15. The
-    /// paper trains a single epoch at lr 1e-4, which implicitly keeps the
-    /// max phase from dominating; on the scaled simulators the longer
-    /// schedules need an explicit weight (DESIGN.md §3).
-    pub adv_weight: f32,
     /// Stride between training windows (default = `win_len`, i.e.
     /// non-overlapping tiles; smaller values yield more training windows on
     /// the scaled simulators).
     pub train_stride: usize,
-    /// Anomaly-score criterion (Eq. 16 by default).
-    pub score: ScoreKind,
-    /// RNG seed controlling init, dropout and random-mask variants.
+    /// RNG seed controlling init and the random-mask variants.
     pub seed: u64,
     /// Temporal patch length `P` (Ti-MAE-style tokenization). The temporal
     /// branch operates on `win_len / P` patch tokens of `P · dims` raw
@@ -136,7 +117,6 @@ impl Default for TfmaeConfig {
             heads: 4,
             d_ff: 128,
             layers: 2,
-            dropout: 0.0,
             cv_window: 10,
             r_temporal: 0.25,
             r_frequency: 0.25,
@@ -153,10 +133,7 @@ impl Default for TfmaeConfig {
             temporal_decoder: true,
             frequency_decoder: true,
             recon_weight: 1.0,
-            contrastive_weight: 1.0,
-            adv_weight: 0.05,
             train_stride: 50,
-            score: ScoreKind::Combined,
             seed: 7,
             patch_len: 1,
         }
@@ -220,8 +197,8 @@ impl TfmaeConfig {
 
     /// Validates invariants; call before training.
     pub fn validate(&self) -> Result<(), String> {
-        if self.win_len < 4 {
-            return Err(format!("win_len must be >= 4, got {}", self.win_len));
+        if !(4..=MAX_WIN_LEN).contains(&self.win_len) {
+            return Err(format!("win_len must be in 4..={MAX_WIN_LEN}, got {}", self.win_len));
         }
         if !self.d_model.is_multiple_of(self.heads) {
             return Err(format!("d_model {} must divide into {} heads", self.d_model, self.heads));
@@ -241,8 +218,8 @@ impl TfmaeConfig {
         if self.train_stride == 0 {
             return Err("train_stride must be >= 1".into());
         }
-        if self.recon_weight < 0.0 || self.contrastive_weight < 0.0 || self.adv_weight < 0.0 {
-            return Err("loss weights must be non-negative".into());
+        if self.recon_weight < 0.0 {
+            return Err("recon_weight must be non-negative".into());
         }
         if self.patch_len == 0 {
             return Err("patch_len must be >= 1".into());
@@ -297,6 +274,9 @@ mod tests {
 
         let mut cfg = TfmaeConfig::default();
         cfg.r_temporal = 1.0;
+        assert!(cfg.validate().is_err());
+
+        let cfg = TfmaeConfig { win_len: MAX_WIN_LEN + 1, ..Default::default() };
         assert!(cfg.validate().is_err());
 
         let mut cfg = TfmaeConfig::default();

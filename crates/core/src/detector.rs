@@ -223,7 +223,7 @@ impl TfmaeDetector {
 
     fn score_normalized(&self, model: &TfmaeModel, series: &TimeSeries) -> Vec<f32> {
         let (kl, dual) = self.components_normalized(model, series);
-        crate::model::combine_scores(self.cfg.score, &kl, &dual)
+        crate::model::combine_scores(&kl, &dual)
     }
 
     fn components_normalized(

@@ -10,8 +10,9 @@
 //! masking (Eq. 6–10) produce two purified views; two Transformer
 //! autoencoders encode them (Fig. 5); the adversarial contrastive objective
 //! (Eq. 14–15) aligns/repels the views with stop-gradients; the
-//! per-observation symmetric KL divergence is the anomaly score (Eq. 16),
-//! thresholded at a validation quantile (Eq. 17).
+//! per-observation symmetric KL divergence (Eq. 16), plus a dual-view
+//! reconstruction discrepancy, is the anomaly score, thresholded at a
+//! validation quantile (Eq. 17).
 //!
 //! ```
 //! use tfmae_core::{TfmaeConfig, TfmaeDetector};
@@ -48,10 +49,10 @@ pub use adapt::{
     param_hash, AdaptationConfig, AdaptationStats, AdaptiveSnapshot, FinetuneConfig, ScoreWindow,
 };
 pub use checkpoint::{
-    inspect_checkpoint, Checkpoint, CheckpointError, CheckpointInfo, PatchMeta, QuantMeta,
+    inspect_checkpoint, Checkpoint, CheckpointError, CheckpointInfo, QuantMeta,
     QuantParamMeta, CHECKPOINT_VERSION,
 };
-pub use config::{AdversarialMode, FreqMaskKind, ScoreKind, TemporalMaskKind, TfmaeConfig};
+pub use config::{AdversarialMode, FreqMaskKind, TemporalMaskKind, TfmaeConfig};
 pub use detector::TfmaeDetector;
 pub use masking::frequency::{frequency_mask, frequency_mask_from_spectra, FrequencyMaskData};
 pub use masking::temporal::{

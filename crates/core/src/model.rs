@@ -10,7 +10,7 @@ use tfmae_nn::{
 };
 use tfmae_tensor::{Graph, ParamId, ParamStore, Var};
 
-use crate::config::{AdversarialMode, ScoreKind, TfmaeConfig};
+use crate::config::{AdversarialMode, TfmaeConfig};
 use crate::masking::frequency::{frequency_mask, FrequencyMaskData};
 use crate::masking::temporal::{temporal_mask_patched, TemporalMask};
 
@@ -83,7 +83,6 @@ impl TfmaeModel {
             heads: cfg.heads,
             d_ff: cfg.d_ff,
             layers: cfg.layers,
-            dropout: cfg.dropout,
             activation: Activation::Gelu,
         };
         // Parameter registration order is load-bearing: it fixes both the
@@ -130,6 +129,36 @@ impl TfmaeModel {
             posenc,
             posenc_t,
         }
+    }
+
+    /// `(tensors, scalars)` that [`TfmaeModel::new`] registers for `cfg`
+    /// and `dims`, computed without building anything; `None` when a count
+    /// overflows `usize`. The checkpoint loader compares it with the stored
+    /// parameters before it builds a model from an untrusted config.
+    pub fn param_count(cfg: &TfmaeConfig, dims: usize) -> Option<(usize, usize)> {
+        let sum = |parts: &[Option<usize>]| parts.iter().try_fold(0usize, |acc, &n| acc.checked_add(n?));
+        let linear = |i: usize, o: usize| i.checked_mul(o)?.checked_add(o);
+        let (d, dp) = (cfg.d_model, dims.checked_mul(cfg.patch_len)?);
+        // One transformer layer: four d×d attention projections, the two
+        // MLP projections and two layer norms (gain and bias each).
+        let layer = sum(&[
+            linear(d, d)?.checked_mul(4),
+            linear(d, cfg.d_ff),
+            linear(cfg.d_ff, d),
+            d.checked_mul(4),
+        ])?;
+        let scalars = sum(&[
+            linear(dp, d),
+            linear(dims, d),
+            Some(d),
+            dims.checked_mul(2),
+            layer.checked_mul(cfg.layers)?.checked_mul(3),
+            linear(d, dp),
+            linear(d, dims),
+        ])?;
+        // 16 tensors per layer in each of the three stacks; 11 outside them.
+        let tensors = cfg.layers.checked_mul(3 * 16)?.checked_add(11)?;
+        Some((tensors, scalars))
     }
 
     /// Input feature count `N`.
@@ -337,8 +366,16 @@ impl TfmaeModel {
         (repr, f_time)
     }
 
+    /// Relative weight of Eq. 15's max-phase (repel) term. The paper trains
+    /// a single epoch at lr 1e-4, which implicitly keeps the max phase from
+    /// dominating; the longer schedules on the scaled simulators need an
+    /// explicit weight (DESIGN.md §3).
+    pub const ADV_WEIGHT: f32 = 0.05;
+
     /// The training objective for one batch (Eq. 14/15 or the
-    /// reconstruction fallback when a branch is ablated). Returns a scalar.
+    /// reconstruction fallback when a branch is ablated). Returns a scalar:
+    /// `recon_weight · grounding + contrastive`, where Eq. 15's max-phase
+    /// term enters at [`Self::ADV_WEIGHT`].
     pub fn training_loss(&self, ctx: &Ctx, out: &BranchOutputs) -> Var {
         let g = ctx.g;
         match (out.p, out.f) {
@@ -364,7 +401,7 @@ impl TfmaeModel {
                         // max_P: push temporal view away from frozen frequency view.
                         let align = g.mean_all(g.sym_kl_last(g.detach(ps_), fs));
                         let repel = g.mean_all(g.sym_kl_last(ps_, g.detach(fs)));
-                        g.sub(align, g.scale(repel, self.cfg.adv_weight))
+                        g.sub(align, g.scale(repel, Self::ADV_WEIGHT))
                     }
                     AdversarialMode::NoAdversarial => {
                         g.mean_all(g.sym_kl_last(g.detach(ps_), fs))
@@ -372,10 +409,10 @@ impl TfmaeModel {
                     AdversarialMode::Reversed => {
                         let align = g.mean_all(g.sym_kl_last(g.detach(fs), ps_));
                         let repel = g.mean_all(g.sym_kl_last(fs, g.detach(ps_)));
-                        g.sub(align, g.scale(repel, self.cfg.adv_weight))
+                        g.sub(align, g.scale(repel, Self::ADV_WEIGHT))
                     }
                 };
-                g.add(ground, g.scale(contrastive, self.cfg.contrastive_weight))
+                g.add(ground, contrastive)
             }
             // Single-view ablations fall back to masked reconstruction.
             (Some(_), None) => {
@@ -450,31 +487,32 @@ impl TfmaeModel {
     }
 
     /// Per-observation anomaly scores for one batch, `[B * T]` row-major,
-    /// combined per the configured [`ScoreKind`] with *batch-local*
-    /// normalization. Prefer the detector's series-level scoring, which
-    /// normalizes globally.
+    /// combined by [`combine_scores`] with *batch-local* normalization.
+    /// Prefer the detector's series-level scoring, which normalizes
+    /// globally.
     pub fn anomaly_scores(&self, ctx: &Ctx, out: &BranchOutputs) -> Vec<f32> {
         let (kl, dual) = self.anomaly_score_components(ctx, out);
-        combine_scores(self.cfg.score, &kl, &dual)
+        combine_scores(&kl, &dual)
     }
 }
 
-/// Combines the two score components per the configured criterion; each
-/// component is normalized by its mean over the provided span so neither
-/// scale dominates.
-pub fn combine_scores(kind: ScoreKind, kl: &[f32], dual: &[f32]) -> Vec<f32> {
-    match kind {
-        ScoreKind::LatentKl => kl.to_vec(),
-        ScoreKind::DualRecon => dual.to_vec(),
-        ScoreKind::Combined => {
-            let ma: f32 = kl.iter().sum::<f32>() / kl.len().max(1) as f32;
-            let mb: f32 = dual.iter().sum::<f32>() / dual.len().max(1) as f32;
-            kl.iter()
-                .zip(dual.iter())
-                .map(|(x, y)| x / (ma + 1e-12) + y / (mb + 1e-12))
-                .collect()
-        }
-    }
+/// The anomaly score: the Eq. 16 latent KL plus the dual-view
+/// reconstruction discrepancy, each normalized by its mean over the
+/// provided span so neither scale dominates (DESIGN.md §3).
+pub fn combine_scores(kl: &[f32], dual: &[f32]) -> Vec<f32> {
+    combine_scores_with(kl, dual, component_means(kl, dual))
+}
+
+/// The two components' means over a span: [`combine_scores`]'s
+/// normalizers, which serving freezes per calibrated stream.
+pub(crate) fn component_means(kl: &[f32], dual: &[f32]) -> (f32, f32) {
+    let mean = |v: &[f32]| v.iter().sum::<f32>() / v.len().max(1) as f32;
+    (mean(kl), mean(dual))
+}
+
+/// [`combine_scores`] at given normalizers `(ma, mb)`.
+pub(crate) fn combine_scores_with(kl: &[f32], dual: &[f32], (ma, mb): (f32, f32)) -> Vec<f32> {
+    kl.iter().zip(dual.iter()).map(|(x, y)| x / (ma + 1e-12) + y / (mb + 1e-12)).collect()
 }
 
 #[cfg(test)]
@@ -493,6 +531,20 @@ mod tests {
 
     fn tiny_model() -> TfmaeModel {
         TfmaeModel::new(TfmaeConfig::tiny(), 3)
+    }
+
+    #[test]
+    fn param_count_matches_the_built_model() {
+        let tiny = TfmaeConfig { win_len: 40, ..TfmaeConfig::tiny() };
+        for base in [tiny, TfmaeConfig::default(), TfmaeConfig::paper()] {
+            for patch_len in [1, 5] {
+                let cfg = TfmaeConfig { patch_len, ..base.clone() };
+                let m = TfmaeModel::new(cfg.clone(), 3);
+                assert_eq!(TfmaeModel::param_count(&cfg, 3), Some((m.ps.len(), m.ps.num_scalars())));
+            }
+        }
+        let huge = TfmaeConfig { d_model: usize::MAX / 2, ..TfmaeConfig::tiny() };
+        assert_eq!(TfmaeModel::param_count(&huge, 3), None, "overflow is None, not a wrap");
     }
 
     #[test]

@@ -92,14 +92,14 @@ use tfmae_obs::{Counter, LazyCounter, LazyGauge, LazyHistogram, LazySpan};
 use tfmae_tensor::{ExecStats, Executor, Graph, Precision, QuantStore};
 
 use crate::adapt::{param_hash, AdaptationConfig, AdaptationStats, AdaptiveRuntime, AdaptiveSnapshot};
-use crate::config::{ScoreKind, TemporalMaskKind, TfmaeConfig};
+use crate::config::{TemporalMaskKind, TfmaeConfig};
 use crate::detector::TfmaeDetector;
 use crate::masking::frequency::{frequency_mask_from_spectra, FrequencyMaskData};
 use crate::masking::temporal::{
     cv_statistic, fold_stat_to_patches, std_statistic, temporal_mask_from_stat,
     temporal_mask_patched, TemporalMask,
 };
-use crate::model::combine_scores;
+use crate::model::{combine_scores_with, component_means};
 
 /// Quality of the data behind one verdict (worst over its channels).
 ///
@@ -763,22 +763,20 @@ impl ServingEngine {
     /// the scale of offline [`Detector::score`](tfmae_data::Detector::score)
     /// output.
     ///
-    /// Only [`ScoreKind::Combined`] normalizes: its two score components
-    /// are divided by their means over the scored span. Offline scoring
-    /// normalizes over the whole series, but an uncalibrated stream
+    /// The score's two components are divided by their means over the
+    /// scored span ([`combine_scores`](crate::combine_scores)). Offline
+    /// scoring normalizes over the whole series, but an uncalibrated stream
     /// normalizes each window over itself, which makes every window average
     /// the same value and blinds the detector to anomalies that span a
     /// whole window (adequate for point anomalies only). With the constants
     /// frozen, a `threshold_for_ratio` δ from offline validation scores
-    /// transfers directly. The other criteria are normalization-free.
+    /// transfers directly.
     ///
     /// # Panics
     /// Panics on an unregistered stream id.
     pub fn calibrate_stream(&mut self, stream: usize, series: &TimeSeries) {
         let (kl, dual) = self.det.score_components(series);
-        let ma = kl.iter().sum::<f32>() / kl.len().max(1) as f32;
-        let mb = dual.iter().sum::<f32>() / dual.len().max(1) as f32;
-        self.state_mut(stream).frozen_norms = Some((ma, mb));
+        self.state_mut(stream).frozen_norms = Some(component_means(&kl, &dual));
     }
 
     /// Fault counters and current mode of one stream.
@@ -918,7 +916,6 @@ impl ServingEngine {
         } else {
             self.det.cfg.batch.max(1)
         };
-        let score_kind = self.det.cfg.score;
         let adapt_on = self.cfg.adaptation.enabled;
         // The score window also backs the drift gauge, so feed it whenever
         // either consumer is live; it never influences verdicts directly.
@@ -963,7 +960,7 @@ impl ServingEngine {
                         return;
                     };
                     g.reset();
-                    let rows = score_chunk(det, &g, chunk, t, n, score_kind, threshold);
+                    let rows = score_chunk(det, &g, chunk, t, n, threshold);
                     *results[ci].lock().expect("chunk result") = rows;
                     lane.chunks.add(1);
                     if stolen {
@@ -1366,7 +1363,6 @@ fn score_chunk(
     chunk: Vec<PendingWindow>,
     t: usize,
     n: usize,
-    score_kind: ScoreKind,
     threshold: f32,
 ) -> Vec<ScoredRow> {
     let model = det.model().expect("checked at construction");
@@ -1404,14 +1400,8 @@ fn score_chunk(
         // Frozen calibration constants put scores on the offline
         // scale; the fallback normalizes window-locally (see
         // `ServingEngine::calibrate_stream`).
-        let scores: Vec<f32> = match (frozen, score_kind) {
-            (Some((ma, mb)), ScoreKind::Combined) => klw
-                .iter()
-                .zip(dualw.iter())
-                .map(|(x, y)| x / (ma + 1e-12) + y / (mb + 1e-12))
-                .collect(),
-            _ => combine_scores(score_kind, klw, dualw),
-        };
+        let norms = frozen.unwrap_or_else(|| component_means(klw, dualw));
+        let scores = combine_scores_with(klw, dualw, norms);
         for i in 0..newest {
             let mut score = scores[t - newest + i];
             let mut quality = qualities[i];

@@ -1,4 +1,4 @@
-//! Forward-pass context threading the tape, weights and mode through layers.
+//! Forward-pass context threading the tape and weights through layers.
 
 use std::cell::RefCell;
 
@@ -12,9 +12,9 @@ pub struct Ctx<'a> {
     pub g: &'a Graph,
     /// The parameter store the layers read their weights from.
     pub ps: &'a ParamStore,
-    /// Training mode (enables dropout).
-    pub training: bool,
-    /// Per-pass RNG (dropout masks); seeded deterministically per step.
+    /// Per-pass RNG, seeded deterministically per step. No layer draws
+    /// from it; it is a seeded RNG source for callers that build masks
+    /// around a pass.
     pub rng: RefCell<StdRng>,
     /// The execution backend (worker pool + buffer pool) the graph runs on.
     pub exec: &'a Executor,
@@ -28,24 +28,23 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Training-mode context with a step-derived dropout seed.
+    /// Training-step context whose RNG is seeded from `seed`. The forward
+    /// pass itself is the same as under [`Ctx::eval`].
     pub fn train(g: &'a Graph, ps: &'a ParamStore, seed: u64) -> Self {
         Self {
             g,
             ps,
-            training: true,
             rng: RefCell::new(StdRng::seed_from_u64(seed)),
             exec: g.executor(),
             quant: None,
         }
     }
 
-    /// Inference-mode context (dropout disabled, no randomness consumed).
+    /// Inference context with a fixed-seed RNG.
     pub fn eval(g: &'a Graph, ps: &'a ParamStore) -> Self {
         Self {
             g,
             ps,
-            training: false,
             rng: RefCell::new(StdRng::seed_from_u64(0)),
             exec: g.executor(),
             quant: None,
@@ -69,9 +68,12 @@ mod tests {
 
     #[test]
     fn modes() {
+        use rand::Rng;
         let g = Graph::new();
         let ps = ParamStore::new();
-        assert!(Ctx::train(&g, &ps, 3).training);
-        assert!(!Ctx::eval(&g, &ps).training);
+        let draw = |ctx: Ctx| ctx.rng.into_inner().gen::<f32>();
+        assert_eq!(draw(Ctx::train(&g, &ps, 3)), draw(Ctx::train(&g, &ps, 3)));
+        assert_eq!(draw(Ctx::eval(&g, &ps)), draw(Ctx::train(&g, &ps, 0)));
+        assert!(Ctx::eval(&g, &ps).quant.is_none());
     }
 }

@@ -4,7 +4,6 @@ use rand::rngs::StdRng;
 use tfmae_tensor::{ParamStore, Var};
 
 use crate::ctx::Ctx;
-use crate::dropout::Dropout;
 use crate::linear::Linear;
 
 /// Nonlinearity used between the two projections.
@@ -16,13 +15,12 @@ pub enum Activation {
     Gelu,
 }
 
-/// Two-layer position-wise MLP with dropout.
+/// Two-layer position-wise MLP.
 #[derive(Clone, Debug)]
 pub struct FeedForward {
     l1: Linear,
     l2: Linear,
     act: Activation,
-    drop: Dropout,
 }
 
 impl FeedForward {
@@ -34,13 +32,11 @@ impl FeedForward {
         d_model: usize,
         d_ff: usize,
         act: Activation,
-        dropout: f32,
     ) -> Self {
         Self {
             l1: Linear::new(ps, rng, &format!("{name}.l1"), d_model, d_ff),
             l2: Linear::new(ps, rng, &format!("{name}.l2"), d_ff, d_model),
             act,
-            drop: Dropout::new(dropout),
         }
     }
 
@@ -52,7 +48,6 @@ impl FeedForward {
             Activation::Gelu => tfmae_tensor::ActKind::Gelu,
         };
         let h = self.l1.forward_act(ctx, x, kind);
-        let h = self.drop.forward(ctx, h);
         self.l2.forward(ctx, h)
     }
 }
@@ -68,7 +63,7 @@ mod tests {
     fn shape_roundtrip() {
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let ffn = FeedForward::new(&mut ps, &mut rng, "f", 6, 12, Activation::Gelu, 0.0);
+        let ffn = FeedForward::new(&mut ps, &mut rng, "f", 6, 12, Activation::Gelu);
         let g = Graph::new();
         let ctx = Ctx::eval(&g, &ps);
         let x = g.constant(vec![0.1; 2 * 3 * 6], vec![2, 3, 6]);
@@ -79,7 +74,7 @@ mod tests {
     fn gradients_check_out() {
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let ffn = FeedForward::new(&mut ps, &mut rng, "f", 3, 5, Activation::Relu, 0.0);
+        let ffn = FeedForward::new(&mut ps, &mut rng, "f", 3, 5, Activation::Relu);
         assert_grads_close(&mut ps, 1e-2, 3e-2, |g, ps| {
             let ctx = Ctx::eval(g, ps);
             let data: Vec<f32> = (0..6).map(|i| 0.5 + i as f32 * 0.2).collect();
@@ -92,7 +87,7 @@ mod tests {
     fn gelu_and_relu_differ() {
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(2);
-        let f1 = FeedForward::new(&mut ps, &mut rng, "a", 2, 4, Activation::Relu, 0.0);
+        let f1 = FeedForward::new(&mut ps, &mut rng, "a", 2, 4, Activation::Relu);
         // Same weights, different activation.
         let f2 = FeedForward { act: Activation::Gelu, ..f1.clone() };
         let g = Graph::new();

@@ -3,7 +3,7 @@
 //! Neural-network building blocks on top of [`tfmae_tensor`]: linear layers,
 //! layer norm, multi-head self-attention, position-wise MLPs, post-LN
 //! Transformer stacks (Eq. 12–13 of the TFMAE paper), sinusoidal positional
-//! encoding (Eq. 11), dropout, and the Adam optimizer (§V-A4).
+//! encoding (Eq. 11), and the Adam optimizer (§V-A4).
 //!
 //! ```
 //! use rand::rngs::StdRng;
@@ -31,7 +31,6 @@
 pub mod adam;
 pub mod attention;
 pub mod ctx;
-pub mod dropout;
 pub mod feedforward;
 pub mod gru;
 pub mod init;
@@ -44,7 +43,6 @@ pub mod transformer;
 pub use adam::Adam;
 pub use attention::MultiHeadSelfAttention;
 pub use ctx::Ctx;
-pub use dropout::Dropout;
 pub use feedforward::{Activation, FeedForward};
 pub use gru::Gru;
 pub use linear::Linear;

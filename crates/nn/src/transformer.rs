@@ -10,7 +10,6 @@ use tfmae_tensor::{ParamStore, Var};
 
 use crate::attention::MultiHeadSelfAttention;
 use crate::ctx::Ctx;
-use crate::dropout::Dropout;
 use crate::feedforward::{Activation, FeedForward};
 use crate::norm::LayerNorm;
 
@@ -23,7 +22,6 @@ pub struct TransformerLayer {
     pub ffn: FeedForward,
     ln1: LayerNorm,
     ln2: LayerNorm,
-    drop: Dropout,
 }
 
 impl TransformerLayer {
@@ -38,20 +36,18 @@ impl TransformerLayer {
                 cfg.d_model,
                 cfg.d_ff,
                 cfg.activation,
-                cfg.dropout,
             ),
             ln1: LayerNorm::new(ps, rng, &format!("{name}.ln1"), cfg.d_model),
             ln2: LayerNorm::new(ps, rng, &format!("{name}.ln2"), cfg.d_model),
-            drop: Dropout::new(cfg.dropout),
         }
     }
 
     /// Applies the layer to `[B, T, D]`.
     pub fn forward(&self, ctx: &Ctx, x: Var) -> Var {
         let g = ctx.g;
-        let a = self.drop.forward(ctx, self.attn.forward(ctx, x));
+        let a = self.attn.forward(ctx, x);
         let x1 = self.ln1.forward(ctx, g.add(x, a));
-        let f = self.drop.forward(ctx, self.ffn.forward(ctx, x1));
+        let f = self.ffn.forward(ctx, x1);
         self.ln2.forward(ctx, g.add(x1, f))
     }
 }
@@ -67,15 +63,13 @@ pub struct TransformerConfig {
     pub d_ff: usize,
     /// Layer count `L`.
     pub layers: usize,
-    /// Dropout probability.
-    pub dropout: f32,
     /// MLP nonlinearity.
     pub activation: Activation,
 }
 
 impl Default for TransformerConfig {
     fn default() -> Self {
-        Self { d_model: 128, heads: 4, d_ff: 256, layers: 3, dropout: 0.0, activation: Activation::Gelu }
+        Self { d_model: 128, heads: 4, d_ff: 256, layers: 3, activation: Activation::Gelu }
     }
 }
 
@@ -116,7 +110,7 @@ mod tests {
     use tfmae_tensor::Graph;
 
     fn tiny_cfg() -> TransformerConfig {
-        TransformerConfig { d_model: 4, heads: 2, d_ff: 8, layers: 2, dropout: 0.0, activation: Activation::Gelu }
+        TransformerConfig { d_model: 4, heads: 2, d_ff: 8, layers: 2, activation: Activation::Gelu }
     }
 
     #[test]

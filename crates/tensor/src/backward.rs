@@ -203,12 +203,12 @@ impl Graph {
                 if nodes[*a].needs_grad {
                     let bval = &nodes[*b].value;
                     let ga = zeroed_slot(exec, grads, *a, m * k);
-                    kernels::par_matmul_acc_nt(exec, gout, bval, m, n, k, ga);
+                    kernels::par_bmm_acc_nt(exec, gout, bval, 1, m, k, n, ga);
                 }
                 if nodes[*b].needs_grad {
                     let aval = &nodes[*a].value;
                     let gb = zeroed_slot(exec, grads, *b, k * n);
-                    kernels::par_matmul_acc_tn(exec, aval, gout, m, k, n, gb);
+                    kernels::par_bmm_acc_tn(exec, aval, gout, 1, m, k, n, gb);
                 }
             }
             Op::Bmm(a, b) => {

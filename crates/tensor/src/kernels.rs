@@ -744,18 +744,6 @@ fn matmul_acc_nt_rows_dispatch(
     }
 }
 
-/// `out += A·Bᵀ` where `A` is `m×n`, `B` is `k×n`, `out` is `m×k` (used
-/// for `dA += dC·Bᵀ` in matmul backward), row-sharded; bitwise identical at
-/// any thread count.
-pub fn par_matmul_acc_nt(exec: &Executor, a: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * k);
-    par_rows(exec, out, m, k, min_rows(n * k), m * n * k, &|i0, i1, rows| {
-        matmul_acc_nt_rows_dispatch(a, b, m, n, k, i0, i1, rows);
-    });
-}
-
 /// Computes output rows `[l0, l1)` of `Aᵀ·B`, *accumulated* into the
 /// row-relative `out_rows`. `A` is `m×k`, `B` is `m×n`, `out` is `k×n`.
 /// For each output element the accumulation runs over `i = 0..m` ascending,
@@ -795,39 +783,7 @@ fn matmul_acc_tn_rows_dispatch(
     }
 }
 
-/// `out += Aᵀ·B` where `A` is `m×k`, `B` is `m×n`, `out` is `k×n` (used
-/// for `dB += Aᵀ·dC` in matmul backward), row-sharded; bitwise identical at
-/// any thread count.
-pub fn par_matmul_acc_tn(exec: &Executor, a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(out.len(), k * n);
-    par_rows(exec, out, k, n, min_rows(m * n), m * k * n, &|l0, l1, rows| {
-        matmul_acc_tn_rows_dispatch(a, b, m, k, n, l0, l1, rows);
-    });
-}
-
 // -------------------------------------------------------------------- bmm
-
-/// Computes global output rows `[r0, r1)` of the batched product
-/// `[B,m,k] × [B,k,n]` into row-relative `out_rows`. Global row `r` maps to
-/// batch `r / m`, local row `r % m`. Direct kernel.
-fn bmm_rows(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, r0: usize, r1: usize, out_rows: &mut [f32]) {
-    for (rr, r) in (r0..r1).enumerate() {
-        let bi = r / m;
-        let arow = &a[r * k..(r + 1) * k];
-        let bmat = &b[bi * k * n..(bi + 1) * k * n];
-        let orow = &mut out_rows[rr * n..(rr + 1) * n];
-        for (l, &av) in arow.iter().enumerate() {
-            if av != 0.0 {
-                let brow = &bmat[l * n..(l + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-}
 
 /// Walks global rows `[r0, r1)` batch by batch, applying `f(bi, i0, i1,
 /// rel_rows)` to each per-batch local row range. `rows_per_batch` is the
@@ -852,136 +808,54 @@ fn for_batch_ranges(
     }
 }
 
-/// Rows `[r0, r1)` of batched `A·B`, blocked vs direct from the per-batch
-/// global shape (identical for every batch, so sharding-independent).
-fn bmm_rows_dispatch(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    r0: usize,
-    r1: usize,
-    out_rows: &mut [f32],
-) {
-    if use_blocked(m, k, n) {
-        for_batch_ranges(m, n, r0, r1, out_rows, |bi, i0, i1, rel| {
-            gemm_rows::<false, false>(
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * k * n..(bi + 1) * k * n],
-                m,
-                k,
-                n,
-                i0,
-                i1,
-                rel,
-            );
-        });
-    } else {
-        bmm_rows(a, b, m, k, n, r0, r1, out_rows);
-    }
-}
-
 /// Batched `out = A·B` over `[B,m,k] × [B,k,n] → [B,m,n]` (`out` zeroed),
 /// sharded over all `B·m` output rows; bitwise identical at any thread
-/// count.
+/// count. Each batch runs the 2-D row kernels, blocked vs direct from the
+/// per-batch shape (identical for every batch, so sharding-independent).
 pub fn par_bmm(exec: &Executor, a: &[f32], b: &[f32], bsz: usize, m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), bsz * m * k);
     debug_assert_eq!(b.len(), bsz * k * n);
     debug_assert_eq!(out.len(), bsz * m * n);
+    let blocked = use_blocked(m, k, n);
     par_rows(exec, out, bsz * m, n, min_rows(k * n), bsz * m * k * n, &|r0, r1, rows| {
-        bmm_rows_dispatch(a, b, m, k, n, r0, r1, rows);
+        for_batch_ranges(m, n, r0, r1, rows, |bi, i0, i1, rel| {
+            let (a, b) = (&a[bi * m * k..(bi + 1) * m * k], &b[bi * k * n..(bi + 1) * k * n]);
+            if blocked {
+                gemm_rows::<false, false>(a, b, m, k, n, i0, i1, rel);
+            } else {
+                matmul_rows(a, b, k, n, i0, i1, rel);
+            }
+        });
     });
 }
 
-/// Batched `dA += dC·Bᵀ`: global rows `[r0, r1)` of `[B,m,k]` from
-/// `dC = [B,m,n]`, `B = [B,k,n]`. Direct kernel.
-fn bmm_acc_nt_rows(dc: &[f32], b: &[f32], m: usize, k: usize, n: usize, r0: usize, r1: usize, out_rows: &mut [f32]) {
-    for (rr, r) in (r0..r1).enumerate() {
-        let bi = r / m;
-        let drow = &dc[r * n..(r + 1) * n];
-        let bmat = &b[bi * k * n..(bi + 1) * k * n];
-        let orow = &mut out_rows[rr * k..(rr + 1) * k];
-        for (l, slot) in orow.iter_mut().enumerate() {
-            let brow = &bmat[l * n..(l + 1) * n];
-            let mut acc = 0.0f32;
-            for (x, y) in drow.iter().zip(brow.iter()) {
-                acc += x * y;
-            }
-            *slot += acc;
-        }
-    }
-}
-
-/// Row-sharded batched `dA += dC·Bᵀ` for bmm backward; bitwise identical to
-/// a per-batch [`par_matmul_acc_nt`] loop.
+/// Batched `dA += dC·Bᵀ` over `dC = [B,m,n]`, `B = [B,k,n]` into
+/// `[B,m,k]`, row-sharded; bitwise identical at any thread count. At
+/// `bsz = 1` this is the 2-D `dA += dC·Bᵀ` of matmul backward.
 pub fn par_bmm_acc_nt(exec: &Executor, dc: &[f32], b: &[f32], bsz: usize, m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(dc.len(), bsz * m * n);
     debug_assert_eq!(b.len(), bsz * k * n);
     debug_assert_eq!(out.len(), bsz * m * k);
     par_rows(exec, out, bsz * m, k, min_rows(n * k), bsz * m * n * k, &|r0, r1, rows| {
-        if use_blocked(m, n, k) {
-            for_batch_ranges(m, k, r0, r1, rows, |bi, i0, i1, rel| {
-                gemm_rows::<false, true>(
-                    &dc[bi * m * n..(bi + 1) * m * n],
-                    &b[bi * k * n..(bi + 1) * k * n],
-                    m,
-                    n,
-                    k,
-                    i0,
-                    i1,
-                    rel,
-                );
-            });
-        } else {
-            bmm_acc_nt_rows(dc, b, m, k, n, r0, r1, rows);
-        }
+        for_batch_ranges(m, k, r0, r1, rows, |bi, i0, i1, rel| {
+            let (dc, b) = (&dc[bi * m * n..(bi + 1) * m * n], &b[bi * k * n..(bi + 1) * k * n]);
+            matmul_acc_nt_rows_dispatch(dc, b, m, n, k, i0, i1, rel);
+        });
     });
 }
 
-/// Batched `dB += Aᵀ·dC`: global rows `[r0, r1)` of `[B,k,n]` from
-/// `A = [B,m,k]`, `dC = [B,m,n]`. Accumulation per element runs over
-/// `i = 0..m` ascending, matching the serial kernel.
-fn bmm_acc_tn_rows(a: &[f32], dc: &[f32], m: usize, k: usize, n: usize, r0: usize, r1: usize, out_rows: &mut [f32]) {
-    for (rr, r) in (r0..r1).enumerate() {
-        let bi = r / k;
-        let l = r % k;
-        let orow = &mut out_rows[rr * n..(rr + 1) * n];
-        for i in 0..m {
-            let av = a[(bi * m + i) * k + l];
-            if av != 0.0 {
-                let drow = &dc[(bi * m + i) * n..(bi * m + i + 1) * n];
-                for (o, &dv) in orow.iter_mut().zip(drow.iter()) {
-                    *o += av * dv;
-                }
-            }
-        }
-    }
-}
-
-/// Row-sharded batched `dB += Aᵀ·dC` for bmm backward; bitwise identical to
-/// a per-batch [`par_matmul_acc_tn`] loop.
+/// Batched `dB += Aᵀ·dC` over `A = [B,m,k]`, `dC = [B,m,n]` into
+/// `[B,k,n]`, row-sharded; bitwise identical at any thread count. At
+/// `bsz = 1` this is the 2-D `dB += Aᵀ·dC` of matmul backward.
 pub fn par_bmm_acc_tn(exec: &Executor, a: &[f32], dc: &[f32], bsz: usize, m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), bsz * m * k);
     debug_assert_eq!(dc.len(), bsz * m * n);
     debug_assert_eq!(out.len(), bsz * k * n);
     par_rows(exec, out, bsz * k, n, min_rows(m * n), bsz * m * k * n, &|r0, r1, rows| {
-        if use_blocked(k, m, n) {
-            for_batch_ranges(k, n, r0, r1, rows, |bi, l0, l1, rel| {
-                gemm_rows::<true, false>(
-                    &a[bi * m * k..(bi + 1) * m * k],
-                    &dc[bi * m * n..(bi + 1) * m * n],
-                    k,
-                    m,
-                    n,
-                    l0,
-                    l1,
-                    rel,
-                );
-            });
-        } else {
-            bmm_acc_tn_rows(a, dc, m, k, n, r0, r1, rows);
-        }
+        for_batch_ranges(k, n, r0, r1, rows, |bi, l0, l1, rel| {
+            let (a, dc) = (&a[bi * m * k..(bi + 1) * m * k], &dc[bi * m * n..(bi + 1) * m * n]);
+            matmul_acc_tn_rows_dispatch(a, dc, m, k, n, l0, l1, rel);
+        });
     });
 }
 
@@ -1712,7 +1586,7 @@ mod tests {
             let b = rndvec(k * n, 4);
             let want = naive_matmul(&a, &naive_transpose2d(&b, k, n), m, n, k);
             let mut out = vec![0.0; m * k];
-            par_matmul_acc_nt(&ex, &a, &b, m, n, k, &mut out);
+            par_bmm_acc_nt(&ex, &a, &b, 1, m, k, n, &mut out);
             assert_close(&out, &want, 1e-4, "acc_nt");
         }
     }
@@ -1726,7 +1600,7 @@ mod tests {
             let b = rndvec(m * n, 6);
             let want = naive_matmul(&naive_transpose2d(&a, m, k), &b, k, m, n);
             let mut out = vec![0.0; k * n];
-            par_matmul_acc_tn(&ex, &a, &b, m, k, n, &mut out);
+            par_bmm_acc_tn(&ex, &a, &b, 1, m, k, n, &mut out);
             assert_close(&out, &want, 1e-4, "acc_tn");
         }
     }
@@ -1735,7 +1609,7 @@ mod tests {
     fn acc_variants_accumulate() {
         let a = vec![1.0, 0.0, 0.0, 1.0];
         let mut out = vec![10.0; 4];
-        par_matmul_acc_nt(&Executor::serial(), &a, &a, 2, 2, 2, &mut out);
+        par_bmm_acc_nt(&Executor::serial(), &a, &a, 1, 2, 2, 2, &mut out);
         assert_eq!(out, vec![11.0, 10.0, 10.0, 11.0]);
     }
 
@@ -1866,18 +1740,18 @@ mod tests {
                 assert_eq!(serial, par, "matmul {m}x{k}x{n} threads={threads}");
 
                 let mut serial = vec![0.5; m * n]; // accumulate onto non-zero
-                par_matmul_acc_nt(&se, &a, &b, m, k, n, &mut serial);
+                par_bmm_acc_nt(&se, &a, &b, 1, m, n, k, &mut serial);
                 // note: acc_nt reads A as m×n here; reuse shapes that fit.
                 let mut par = vec![0.5; m * n];
-                par_matmul_acc_nt(&ex, &a, &b, m, k, n, &mut par);
+                par_bmm_acc_nt(&ex, &a, &b, 1, m, n, k, &mut par);
                 assert_eq!(serial, par, "acc_nt {m}x{k}x{n} threads={threads}");
 
                 let a2 = rndvec(m * k, 25);
                 let b2 = rndvec(m * n, 26);
                 let mut serial = vec![0.25; k * n];
-                par_matmul_acc_tn(&se, &a2, &b2, m, k, n, &mut serial);
+                par_bmm_acc_tn(&se, &a2, &b2, 1, m, k, n, &mut serial);
                 let mut par = vec![0.25; k * n];
-                par_matmul_acc_tn(&ex, &a2, &b2, m, k, n, &mut par);
+                par_bmm_acc_tn(&ex, &a2, &b2, 1, m, k, n, &mut par);
                 assert_eq!(serial, par, "acc_tn {m}x{k}x{n} threads={threads}");
 
                 let mut serial = vec![0.0; bsz * m * n];
@@ -1914,13 +1788,14 @@ mod tests {
             // dA += dC·Bᵀ, per batch serial vs global-row parallel.
             let mut want = vec![0.1; bsz * m * k];
             for bi in 0..bsz {
-                par_matmul_acc_nt(
+                par_bmm_acc_nt(
                     &se,
                     &dc[bi * m * n..(bi + 1) * m * n],
                     &b[bi * k * n..(bi + 1) * k * n],
+                    1,
                     m,
-                    n,
                     k,
+                    n,
                     &mut want[bi * m * k..(bi + 1) * m * k],
                 );
             }
@@ -1931,10 +1806,11 @@ mod tests {
             // dB += Aᵀ·dC, per batch serial vs global-row parallel.
             let mut want = vec![0.2; bsz * k * n];
             for bi in 0..bsz {
-                par_matmul_acc_tn(
+                par_bmm_acc_tn(
                     &se,
                     &a[bi * m * k..(bi + 1) * m * k],
                     &dc[bi * m * n..(bi + 1) * m * n],
+                    1,
                     m,
                     k,
                     n,

@@ -29,7 +29,7 @@ pub use tfmae_tensor as tensor;
 pub mod prelude {
     pub use tfmae_baselines::{evaluate, evaluate_fitted, table3_roster, DeepProtocol};
     pub use tfmae_core::{
-        AdversarialMode, FreqMaskKind, MaskAblation, ModelAblation, ScoreKind, TemporalMaskKind, TfmaeConfig,
+        AdversarialMode, FreqMaskKind, MaskAblation, ModelAblation, TemporalMaskKind, TfmaeConfig,
         TfmaeDetector, TfmaeModel,
     };
     pub use tfmae_data::{
