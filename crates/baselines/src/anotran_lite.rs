@@ -13,13 +13,11 @@
 //! one regularized objective — the scoring mechanism (association
 //! discrepancy reweighting) is preserved exactly.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
-use tfmae_nn::{Activation, Adam, Ctx, Linear, MultiHeadSelfAttention, TransformerConfig, TransformerStack};
-use tfmae_tensor::{Graph, ParamStore, Var};
+use tfmae_data::{Detector, TimeSeries};
+use tfmae_nn::{Activation, Ctx, Linear, MultiHeadSelfAttention, TransformerConfig, TransformerStack};
+use tfmae_tensor::{Graph, Var};
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// AnomalyTransformer-lite detector.
 pub struct AnomalyTransformerLite {
@@ -29,19 +27,16 @@ pub struct AnomalyTransformerLite {
     pub sigma: f32,
     /// Weight of the association regularizer.
     pub lambda: f32,
-    state: Option<State>,
+    state: Option<Fitted<Net>>,
 }
 
-struct State {
-    ps: ParamStore,
+struct Net {
     proj: Linear,
     attn: MultiHeadSelfAttention,
     stack: TransformerStack,
     head: Linear,
     posenc: Vec<f32>,
     prior: Vec<f32>,
-    norm: ZScore,
-    dims: usize,
     heads: usize,
 }
 
@@ -64,43 +59,40 @@ pub fn gaussian_prior(t: usize, sigma: f32) -> Vec<f32> {
     out
 }
 
-impl AnomalyTransformerLite {
-    /// Creates an untrained AnomalyTransformer-lite.
-    pub fn new(proto: DeepProtocol) -> Self {
-        Self { proto, sigma: 5.0, lambda: 0.1, state: None }
-    }
-
-    /// Returns `(recon, series_association [B*H, T, T], hidden)` for a batch.
-    fn forward(state: &State, ctx: &Ctx, x: Var, b: usize, t: usize) -> (Var, Var) {
+impl Net {
+    /// Returns `(recon, series_association [B*H, T, T])` for a batch.
+    fn forward(&self, ctx: &Ctx, x: Var, t: usize) -> (Var, Var) {
         let g = ctx.g;
-        let d = state.proj.out_dim;
-        let h = state.proj.forward(ctx, x);
-        let mut pe = Vec::with_capacity(b * t * d);
-        for _ in 0..b {
-            pe.extend_from_slice(&state.posenc);
-        }
-        let h = g.add(h, g.constant(pe, vec![b, t, d]));
-        let assoc = state.attn.attention_weights(ctx, h);
-        let h = state.stack.forward(ctx, h);
-        let rec = state.head.forward(ctx, h);
+        let h = self.proj.forward(ctx, x);
+        let h = g.add(h, g.constant_from(&self.posenc, vec![t, self.proj.out_dim]));
+        let assoc = self.attn.attention_weights(ctx, h);
+        let h = self.stack.forward(ctx, h);
+        let rec = self.head.forward(ctx, h);
         (rec, assoc)
     }
 
     /// Per-observation association discrepancy, `[B, T]` flattened: the
     /// head-averaged symmetric KL between prior and series association rows.
-    fn assoc_discrepancy(state: &State, g: &Graph, assoc: Var, b: usize, t: usize) -> Var {
+    fn assoc_discrepancy(&self, g: &Graph, assoc: Var, b: usize, t: usize) -> Var {
         let prior = {
-            let mut data = Vec::with_capacity(b * state.heads * t * t);
-            for _ in 0..b * state.heads {
-                data.extend_from_slice(&state.prior);
+            let mut data = Vec::with_capacity(b * self.heads * t * t);
+            for _ in 0..b * self.heads {
+                data.extend_from_slice(&self.prior);
             }
-            g.constant(data, vec![b * state.heads, t, t])
+            g.constant(data, vec![b * self.heads, t, t])
         };
         let kl = g.sym_kl_last(prior, assoc); // [B*H, T]
         // Average over heads: reshape to [B, H, T] → permute → mean.
-        let kl = g.reshape(kl, &[b, state.heads, t]);
+        let kl = g.reshape(kl, &[b, self.heads, t]);
         let kl = g.permute(kl, &[0, 2, 1]);
         g.mean_last(kl, false) // [B, T]
+    }
+}
+
+impl AnomalyTransformerLite {
+    /// Creates an untrained AnomalyTransformer-lite.
+    pub fn new(proto: DeepProtocol) -> Self {
+        Self { proto, sigma: 5.0, lambda: 0.1, state: None }
     }
 }
 
@@ -110,13 +102,8 @@ impl Detector for AnomalyTransformerLite {
     }
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
-        let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
+        let (p, sigma, lambda) = (self.proto, self.sigma, self.lambda);
         let heads = 4.min(p.d_model);
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
         let tc = TransformerConfig {
             d_model: p.d_model,
             heads,
@@ -124,50 +111,33 @@ impl Detector for AnomalyTransformerLite {
             layers: 1,
             activation: Activation::Gelu,
         };
-        let mut state = State {
-            proj: Linear::new(&mut ps, &mut rng, "anotran.proj", dims, p.d_model),
-            attn: MultiHeadSelfAttention::new(&mut ps, &mut rng, "anotran.assoc", p.d_model, heads),
-            stack: TransformerStack::new(&mut ps, &mut rng, "anotran.enc", &tc),
-            head: Linear::new(&mut ps, &mut rng, "anotran.head", p.d_model, dims),
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| Net {
+            proj: Linear::new(ps, rng, "anotran.proj", tn.dims(), p.d_model),
+            attn: MultiHeadSelfAttention::new(ps, rng, "anotran.assoc", p.d_model, heads),
+            stack: TransformerStack::new(ps, rng, "anotran.enc", &tc),
+            head: Linear::new(ps, rng, "anotran.head", p.d_model, tn.dims()),
             posenc: tfmae_nn::encoding_table(p.win_len, p.d_model),
-            prior: gaussian_prior(p.win_len, self.sigma),
-            ps,
-            norm,
-            dims,
+            prior: gaussian_prior(p.win_len, sigma),
             heads,
         };
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
-            for (starts, values) in training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64) {
-                let b = starts.len();
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ epoch as u64);
-                let x = g.constant_from(&values, vec![b, p.win_len, dims]);
-                let (rec, assoc) = Self::forward(&state, &ctx, x, b, p.win_len);
-                let mse = g.mse(rec, x);
-                let dis = g.mean_all(Self::assoc_discrepancy(&state, &g, assoc, b, p.win_len));
-                let loss = g.add(mse, g.scale(dis, self.lambda));
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
-            }
-        }
-        self.state = Some(state);
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, b, _| {
+            let g = ctx.g;
+            let x = g.constant_from(values, vec![b, p.win_len, f.dims]);
+            let (rec, assoc) = f.net.forward(ctx, x, p.win_len);
+            let mse = g.mse(rec, x);
+            let dis = g.mean_all(f.net.assoc_discrepancy(g, assoc, b, p.win_len));
+            g.add(mse, g.scale(dis, lambda))
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
         let p = self.proto;
-        let s = state.norm.transform(series);
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let x = g.constant_from(values, vec![b, p.win_len, state.dims]);
-            let (rec, assoc) = Self::forward(state, &ctx, x, b, p.win_len);
+        score_deep(&p, self.state.as_ref(), series, |f, ctx, values, b| {
+            let g = ctx.g;
+            let x = g.constant_from(values, vec![b, p.win_len, f.dims]);
+            let (rec, assoc) = f.net.forward(ctx, x, p.win_len);
             let err = g.value(g.mean_last(g.square(g.sub(rec, x)), false)); // [B, T]
-            let dis =
-                g.value(Self::assoc_discrepancy(state, &g, assoc, b, p.win_len)); // [B, T]
+            let dis = g.value(f.net.assoc_discrepancy(g, assoc, b, p.win_len)); // [B, T]
             // Original criterion: reconstruction error reweighted by the
             // (negated) association discrepancy. The original's window
             // softmax is winner-takes-all; the lite uses the smooth
@@ -195,6 +165,8 @@ impl Detector for AnomalyTransformerLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tfmae_data::{render, Component};
 
     #[test]

@@ -9,11 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
-use tfmae_nn::{Adam, Ctx, Linear};
-use tfmae_tensor::{Graph, ParamStore, Var};
+use tfmae_data::{Detector, TimeSeries};
+use tfmae_nn::{Ctx, Linear};
+use tfmae_tensor::{Graph, Var};
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// Diagonal-covariance Gaussian mixture fitted by EM.
 #[derive(Clone, Debug)]
@@ -102,9 +102,8 @@ impl GaussianMixture {
 
     fn component_density(&self, c: usize, x: &[f64]) -> f64 {
         let mut log_p = 0.0;
-        for j in 0..x.len() {
-            let v = self.vars[c][j];
-            let d = x[j] - self.means[c][j];
+        for ((&xj, &v), &m) in x.iter().zip(&self.vars[c]).zip(&self.means[c]) {
+            let d = xj - m;
             log_p += -0.5 * (d * d / v + v.ln() + (2.0 * std::f64::consts::PI).ln());
         }
         log_p.exp()
@@ -126,54 +125,50 @@ pub struct Dagmm {
     pub code: usize,
     /// Mixture components.
     pub components: usize,
-    state: Option<State>,
+    state: Option<Fitted<Net>>,
 }
 
-struct State {
-    ps: ParamStore,
+struct Net {
     enc: Linear,
     enc2: Linear,
     dec: Linear,
     dec2: Linear,
     gmm: GaussianMixture,
-    norm: ZScore,
-    dims: usize,
-    code: usize,
+}
+
+impl Net {
+    /// Code and reconstruction of the `[rows, dims]` observations in `values`.
+    fn forward(&self, ctx: &Ctx, values: &[f32], dims: usize) -> (Var, Var) {
+        let g = ctx.g;
+        let x = g.constant_from(values, vec![values.len() / dims, dims]);
+        let z = self.enc2.forward(ctx, g.relu(self.enc.forward(ctx, x)));
+        let rec = self.dec2.forward(ctx, g.relu(self.dec.forward(ctx, z)));
+        (z, rec)
+    }
+
+    /// `[code..., recon_error]` feature rows for the GMM.
+    fn features(&self, ctx: &Ctx, values: &[f32], dims: usize) -> Vec<f64> {
+        let g = ctx.g;
+        let rows = values.len() / dims;
+        let (z, rec) = self.forward(ctx, values, dims);
+        let x = g.constant_from(values, vec![rows, dims]);
+        let err = g.mean_last(g.square(g.sub(rec, x)), false);
+        let zv = g.value(z);
+        let ev = g.value(err);
+        let code = self.enc2.out_dim;
+        let mut out = Vec::with_capacity(rows * (code + 1));
+        for (zr, &e) in zv.chunks_exact(code).zip(&ev) {
+            out.extend(zr.iter().map(|&v| v as f64));
+            out.push((e as f64).ln_1p());
+        }
+        out
+    }
 }
 
 impl Dagmm {
     /// Creates an untrained DAGMM.
     pub fn new(proto: DeepProtocol, code: usize, components: usize) -> Self {
         Self { proto, code, components, state: None }
-    }
-
-    fn forward(state: &State, ctx: &Ctx, values: &[f32], rows: usize) -> (Var, Var) {
-        let g = ctx.g;
-        let x = g.constant_from(values, vec![rows, state.dims]);
-        let z = state.enc2.forward(ctx, g.relu(state.enc.forward(ctx, x)));
-        let rec = state.dec2.forward(ctx, g.relu(state.dec.forward(ctx, z)));
-        (z, rec)
-    }
-
-    /// `[code..., recon_error]` feature rows for the GMM (clears `g` first
-    /// so batch loops reuse one pooled tape).
-    fn features(state: &State, g: &Graph, values: &[f32], rows: usize) -> Vec<f64> {
-        g.reset();
-        let ctx = Ctx::eval(g, &state.ps);
-        let (z, rec) = Self::forward(state, &ctx, values, rows);
-        let x = g.constant_from(values, vec![rows, state.dims]);
-        let err = g.mean_last(g.square(g.sub(rec, x)), false);
-        let zv = g.value(z);
-        let ev = g.value(err);
-        let d = state.code + 1;
-        let mut out = vec![0.0f64; rows * d];
-        for r in 0..rows {
-            for j in 0..state.code {
-                out[r * d + j] = zv[r * state.code + j] as f64;
-            }
-            out[r * d + state.code] = (ev[r] as f64).ln_1p();
-        }
-        out
     }
 }
 
@@ -183,57 +178,38 @@ impl Detector for Dagmm {
     }
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
-        let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
-        let mut state = State {
-            enc: Linear::new(&mut ps, &mut rng, "dagmm.enc", dims, p.d_model),
-            enc2: Linear::new(&mut ps, &mut rng, "dagmm.enc2", p.d_model, self.code),
-            dec: Linear::new(&mut ps, &mut rng, "dagmm.dec", self.code, p.d_model),
-            dec2: Linear::new(&mut ps, &mut rng, "dagmm.dec2", p.d_model, dims),
-            ps,
-            gmm: GaussianMixture { weights: vec![], means: vec![], vars: vec![] },
-            norm,
-            dims,
-            code: self.code,
-        };
-
+        let (p, code) = (self.proto, self.code);
         // Phase 1: autoencoder training.
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
-            for (starts, values) in training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64) {
-                let rows = starts.len() * p.win_len;
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ epoch as u64);
-                let (_, rec) = Self::forward(&state, &ctx, &values, rows);
-                let x = g.constant_from(&values, vec![rows, dims]);
-                let loss = g.mse(rec, x);
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| {
+            let dims = tn.dims();
+            Net {
+                enc: Linear::new(ps, rng, "dagmm.enc", dims, p.d_model),
+                enc2: Linear::new(ps, rng, "dagmm.enc2", p.d_model, code),
+                dec: Linear::new(ps, rng, "dagmm.dec", code, p.d_model),
+                dec2: Linear::new(ps, rng, "dagmm.dec2", p.d_model, dims),
+                gmm: GaussianMixture { weights: vec![], means: vec![], vars: vec![] },
             }
-        }
+        };
+        let mut fitted = fit_deep(&p, train, build, |f, ctx, values, _, _| {
+            let (_, rec) = f.net.forward(ctx, values, f.dims);
+            let x = ctx.g.constant_from(values, vec![values.len() / f.dims, f.dims]);
+            ctx.g.mse(rec, x)
+        });
 
         // Phase 2: GMM on [code, recon-error] features of (subsampled) train.
+        let tn = fitted.norm.transform(train);
         let rows = tn.len().min(4096);
-        let feats = Self::features(&state, &g, &tn.data()[..rows * dims], rows);
-        state.gmm = GaussianMixture::fit(&feats, rows, self.code + 1, self.components, 30, p.seed);
-        self.state = Some(state);
+        let g = Graph::from_env();
+        let ctx = Ctx::eval(&g, &fitted.ps);
+        let feats = fitted.net.features(&ctx, &tn.data()[..rows * fitted.dims], fitted.dims);
+        fitted.net.gmm = GaussianMixture::fit(&feats, rows, code + 1, self.components, 30, p.seed);
+        self.state = Some(fitted);
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
-        let p = self.proto;
-        let s = state.norm.transform(series);
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            let rows = b * p.win_len;
-            let feats = Self::features(state, &g, values, rows);
-            let d = state.code + 1;
-            (0..rows).map(|r| state.gmm.energy(&feats[r * d..(r + 1) * d]) as f32).collect()
+        score_deep(&self.proto, self.state.as_ref(), series, |f, ctx, values, _| {
+            let feats = f.net.features(ctx, values, f.dims);
+            feats.chunks_exact(self.code + 1).map(|x| f.net.gmm.energy(x) as f32).collect()
         })
     }
 }

@@ -7,13 +7,11 @@
 //! per-observation discrepancy between the two views — no reconstruction
 //! anywhere, exactly the property Table III credits DCdetector for.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
-use tfmae_nn::{Activation, Adam, Ctx, Linear, TransformerConfig, TransformerStack};
-use tfmae_tensor::{Graph, ParamStore, Var};
+use tfmae_data::{Detector, TimeSeries};
+use tfmae_nn::{Activation, Ctx, Linear, TransformerConfig, TransformerStack};
+use tfmae_tensor::Var;
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// DCdetector-lite detector.
 pub struct DcDetectorLite {
@@ -21,33 +19,35 @@ pub struct DcDetectorLite {
     pub proto: DeepProtocol,
     /// Patch size of the first (patch-wise) view.
     pub patch: usize,
-    state: Option<State>,
+    state: Option<Fitted<Net>>,
 }
 
-struct State {
-    ps: ParamStore,
+struct Net {
     proj: Linear,
     view_point: TransformerStack,
     view_patch: TransformerStack,
     posenc: Vec<f32>,
-    norm: ZScore,
-    dims: usize,
     patch: usize,
 }
 
-impl DcDetectorLite {
-    /// Creates an untrained DCdetector-lite with the given patch size.
-    pub fn new(proto: DeepProtocol, patch: usize) -> Self {
-        assert!(patch >= 1);
-        Self { proto, patch, state: None }
+impl Net {
+    /// Builds both softmax-normalized views for a batch of `b` windows.
+    fn views(&self, ctx: &Ctx, values: &[f32], b: usize, t: usize, dims: usize) -> (Var, Var) {
+        let g = ctx.g;
+        let x = g.constant_from(values, vec![b, t, dims]);
+        let h = self.proj.forward(ctx, x);
+        let h = g.add(h, g.constant_from(&self.posenc, vec![t, self.proj.out_dim]));
+        let point = self.view_point.forward(ctx, h);
+        let patch = self.patch_view(ctx, h, b, t);
+        (g.softmax_last(point), g.softmax_last(patch))
     }
 
     /// Average-pools `[B, T, D]` into `[B, T/patch, D]` patch tokens, runs
     /// the patch view, and broadcasts patch outputs back to `[B, T, D]`.
-    fn patch_view(state: &State, ctx: &Ctx, h: Var, b: usize, t: usize) -> Var {
+    fn patch_view(&self, ctx: &Ctx, h: Var, b: usize, t: usize) -> Var {
         let g = ctx.g;
-        let d = state.proj.out_dim;
-        let p = state.patch.min(t);
+        let d = self.proj.out_dim;
+        let p = self.patch.min(t);
         let np = t / p; // truncate the ragged tail patch for pooling
         // Pool: reshape [B, np, p, D] → mean over p.
         let usable = g.gather_rows(h, &pool_indices(b, np * p), np * p);
@@ -58,7 +58,7 @@ impl DcDetectorLite {
             let m = g.mean_last(tr, false); // [B*np, D]
             g.reshape(m, &[b, np, d])
         };
-        let out = state.view_patch.forward(ctx, pooled); // [B, np, D]
+        let out = self.view_patch.forward(ctx, pooled); // [B, np, D]
         // Broadcast each patch token back over its span (tail reuses the
         // last patch token).
         let mut idx = Vec::with_capacity(b * t);
@@ -68,6 +68,14 @@ impl DcDetectorLite {
             }
         }
         g.gather_rows(out, &idx, t)
+    }
+}
+
+impl DcDetectorLite {
+    /// Creates an untrained DCdetector-lite with the given patch size.
+    pub fn new(proto: DeepProtocol, patch: usize) -> Self {
+        assert!(patch >= 1);
+        Self { proto, patch, state: None }
     }
 }
 
@@ -86,12 +94,7 @@ impl Detector for DcDetectorLite {
     }
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
-        let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
+        let (p, patch) = (self.proto, self.patch);
         let tc = TransformerConfig {
             d_model: p.d_model,
             heads: 4.min(p.d_model),
@@ -99,69 +102,38 @@ impl Detector for DcDetectorLite {
             layers: 1,
             activation: Activation::Gelu,
         };
-        let mut state = State {
-            proj: Linear::new(&mut ps, &mut rng, "dc.proj", dims, p.d_model),
-            view_point: TransformerStack::new(&mut ps, &mut rng, "dc.point", &tc),
-            view_patch: TransformerStack::new(&mut ps, &mut rng, "dc.patch", &tc),
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| Net {
+            proj: Linear::new(ps, rng, "dc.proj", tn.dims(), p.d_model),
+            view_point: TransformerStack::new(ps, rng, "dc.point", &tc),
+            view_patch: TransformerStack::new(ps, rng, "dc.patch", &tc),
             posenc: tfmae_nn::encoding_table(p.win_len, p.d_model),
-            ps,
-            norm,
-            dims,
-            patch: self.patch,
+            patch,
         };
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
-            for (starts, values) in training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64) {
-                let b = starts.len();
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ epoch as u64);
-                let (v1, v2) = views(&state, &ctx, &values, b, p.win_len);
-                // Dual-sided stop-gradient positive-pair loss (original's
-                // Eq.: L = KL(sg(v1), v2) + KL(sg(v2), v1)).
-                let a = g.mean_all(g.sym_kl_last(g.detach(v1), v2));
-                let c = g.mean_all(g.sym_kl_last(g.detach(v2), v1));
-                let loss = g.add(a, c);
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
-            }
-        }
-        self.state = Some(state);
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, b, _| {
+            let g = ctx.g;
+            let (v1, v2) = f.net.views(ctx, values, b, p.win_len, f.dims);
+            // Dual-sided stop-gradient positive-pair loss (original's
+            // Eq.: L = KL(sg(v1), v2) + KL(sg(v2), v1)).
+            let a = g.mean_all(g.sym_kl_last(g.detach(v1), v2));
+            let c = g.mean_all(g.sym_kl_last(g.detach(v2), v1));
+            g.add(a, c)
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
         let p = self.proto;
-        let s = state.norm.transform(series);
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let (v1, v2) = views(state, &ctx, values, b, p.win_len);
-            g.value(g.sym_kl_last(v1, v2))
+        score_deep(&p, self.state.as_ref(), series, |f, ctx, values, b| {
+            let (v1, v2) = f.net.views(ctx, values, b, p.win_len, f.dims);
+            ctx.g.value(ctx.g.sym_kl_last(v1, v2))
         })
     }
-}
-
-/// Builds both softmax-normalized views for a batch.
-fn views(state: &State, ctx: &Ctx, values: &[f32], b: usize, t: usize) -> (Var, Var) {
-    let g = ctx.g;
-    let d = state.proj.out_dim;
-    let x = g.constant_from(values, vec![b, t, state.dims]);
-    let h = state.proj.forward(ctx, x);
-    let mut pe = Vec::with_capacity(b * t * d);
-    for _ in 0..b {
-        pe.extend_from_slice(&state.posenc);
-    }
-    let h = g.add(h, g.constant(pe, vec![b, t, d]));
-    let point = state.view_point.forward(ctx, h);
-    let patch = DcDetectorLite::patch_view(state, ctx, h, b, t);
-    (g.softmax_last(point), g.softmax_last(patch))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tfmae_data::{render, Component};
 
     fn series(len: usize, seed: u64) -> TimeSeries {

@@ -6,13 +6,11 @@
 //! initial pass; training minimizes the mean squared distance to the
 //! center; the anomaly score is that distance.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
-use tfmae_nn::{Adam, Ctx, Linear};
-use tfmae_tensor::{Graph, ParamStore, Var};
+use tfmae_data::{Detector, TimeSeries};
+use tfmae_nn::{Ctx, Linear};
+use tfmae_tensor::{Graph, Var};
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// Deep support vector data description over observations.
 pub struct DeepSvdd {
@@ -20,36 +18,37 @@ pub struct DeepSvdd {
     pub proto: DeepProtocol,
     /// Latent width.
     pub latent: usize,
-    state: Option<State>,
+    state: Option<Fitted<Net>>,
 }
 
-struct State {
-    ps: ParamStore,
+struct Net {
     l1: Linear,
     l2: Linear,
     center: Vec<f32>,
-    norm: ZScore,
-    dims: usize,
+}
+
+impl Net {
+    /// Embeds the `[rows, dims]` observations in `values`.
+    fn embed(&self, ctx: &Ctx, values: &[f32], dims: usize) -> Var {
+        let g = ctx.g;
+        let x = g.constant(values.to_vec(), vec![values.len() / dims, dims]);
+        let h = g.relu(self.l1.forward(ctx, x));
+        self.l2.forward(ctx, h)
+    }
+
+    /// Squared distance of every observation's embedding to the center.
+    fn distances(&self, ctx: &Ctx, values: &[f32], dims: usize) -> Var {
+        let g = ctx.g;
+        let z = self.embed(ctx, values, dims);
+        let c = g.constant(self.center.clone(), vec![self.center.len()]);
+        g.sum_last(g.square(g.sub(z, c)), false)
+    }
 }
 
 impl DeepSvdd {
     /// Creates an untrained DeepSVDD.
     pub fn new(proto: DeepProtocol, latent: usize) -> Self {
         Self { proto, latent, state: None }
-    }
-
-    fn embed(state: &State, ctx: &Ctx, values: &[f32], rows: usize) -> Var {
-        let g = ctx.g;
-        let x = g.constant(values.to_vec(), vec![rows, state.dims]);
-        let h = g.relu(state.l1.forward(ctx, x));
-        state.l2.forward(ctx, h)
-    }
-
-    fn distances(state: &State, g: &Graph, z: Var, rows: usize) -> Var {
-        let c = g.constant(state.center.clone(), vec![state.center.len()]);
-        let diff = g.sub(z, c);
-        let _ = rows;
-        g.sum_last(g.square(diff), false)
     }
 }
 
@@ -59,73 +58,42 @@ impl Detector for DeepSvdd {
     }
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
-        let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
-        let mut state = State {
-            l1: Linear::new(&mut ps, &mut rng, "dsvdd.l1", dims, p.d_model),
-            l2: Linear::with_bias(&mut ps, &mut rng, "dsvdd.l2", p.d_model, self.latent, false),
-            ps,
-            center: vec![0.0; self.latent],
-            norm,
-            dims,
-        };
-
-        // Initialize the center as the mean embedding (standard DeepSVDD
-        // warm start; keeps the trivial-solution collapse away from zero).
-        {
+        let (p, latent) = (self.proto, self.latent);
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| {
+            let dims = tn.dims();
+            let mut net = Net {
+                l1: Linear::new(ps, rng, "dsvdd.l1", dims, p.d_model),
+                l2: Linear::with_bias(ps, rng, "dsvdd.l2", p.d_model, latent, false),
+                center: vec![0.0; latent],
+            };
+            // Initialize the center as the mean embedding (standard DeepSVDD
+            // warm start; keeps the trivial-solution collapse away from zero).
             let g = Graph::new();
-            let ctx = Ctx::eval(&g, &state.ps);
+            let ctx = Ctx::eval(&g, ps);
             let rows = tn.len().min(2048);
-            let z = Self::embed(&state, &ctx, &tn.data()[..rows * dims], rows);
-            let zv = g.value(z);
-            let mut center = vec![0.0f32; self.latent];
-            for row in zv.chunks(self.latent) {
-                for (c, v) in center.iter_mut().zip(row.iter()) {
+            let zv = g.value(net.embed(&ctx, &tn.data()[..rows * dims], dims));
+            for row in zv.chunks(latent) {
+                for (c, v) in net.center.iter_mut().zip(row.iter()) {
                     *c += v;
                 }
             }
-            for c in center.iter_mut() {
+            for c in net.center.iter_mut() {
                 *c /= rows as f32;
                 // Standard trick: push tiny coordinates away from zero.
                 if c.abs() < 0.01 {
                     *c = if *c < 0.0 { -0.01 } else { 0.01 };
                 }
             }
-            state.center = center;
-        }
-
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
-            for (starts, values) in training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64) {
-                let rows = starts.len() * p.win_len;
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ epoch as u64);
-                let z = Self::embed(&state, &ctx, &values, rows);
-                let d = Self::distances(&state, &g, z, rows);
-                let loss = g.mean_all(d);
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
-            }
-        }
-        self.state = Some(state);
+            net
+        };
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, _, _| {
+            ctx.g.mean_all(f.net.distances(ctx, values, f.dims))
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
-        let p = self.proto;
-        let s = state.norm.transform(series);
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            let rows = b * p.win_len;
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let z = Self::embed(state, &ctx, values, rows);
-            g.value(Self::distances(state, &g, z, rows))
+        score_deep(&self.proto, self.state.as_ref(), series, |f, ctx, values, _| {
+            ctx.g.value(f.net.distances(ctx, values, f.dims))
         })
     }
 }
@@ -133,6 +101,8 @@ impl Detector for DeepSvdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tfmae_data::{render, Component};
 
     fn series(len: usize, seed: u64) -> TimeSeries {

@@ -19,7 +19,6 @@
 //! | TranAD         | [`TranAdLite`]              | adversarial recon |
 //! | AnoTran        | [`AnomalyTransformerLite`]  | contrastive |
 //! | DCdetector     | [`DcDetectorLite`]          | contrastive |
-//!
 //! | THOC           | [`ThocLite`]                | clustering (dilated RNN) |
 //!
 //! BeatGAN and DAEMON are covered by family representatives (see
@@ -41,7 +40,7 @@ pub mod tranad_lite;
 pub mod usad;
 
 pub use anotran_lite::AnomalyTransformerLite;
-pub use common::{evaluate, evaluate_fitted, score_windows, training_batches, training_batches_strided, DeepProtocol};
+pub use common::{evaluate, evaluate_fitted, score_windows, DeepProtocol};
 pub use dagmm::{Dagmm, GaussianMixture};
 pub use dcdetector_lite::DcDetectorLite;
 pub use dsvdd::DeepSvdd;
@@ -79,7 +78,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roster_has_eleven_distinct_methods() {
+    fn roster_has_twelve_distinct_methods() {
         let roster = table3_roster(DeepProtocol::tiny());
         assert_eq!(roster.len(), 12);
         let mut names: Vec<String> = roster.iter().map(|d| d.name()).collect();

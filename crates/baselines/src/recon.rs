@@ -9,13 +9,11 @@
 //!   pretrained-LM baseline (temporal features + reconstruction criterion,
 //!   see DESIGN.md §4).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
-use tfmae_nn::{Activation, Adam, Ctx, Linear, TransformerConfig, TransformerStack};
-use tfmae_tensor::{Graph, ParamStore};
+use tfmae_data::{Detector, TimeSeries};
+use tfmae_nn::{Activation, Ctx, Linear, TransformerConfig, TransformerStack};
+use tfmae_tensor::Var;
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// MLP autoencoder over flattened windows.
 pub struct DenseAutoencoder {
@@ -24,33 +22,31 @@ pub struct DenseAutoencoder {
     /// Bottleneck width.
     pub latent: usize,
     display_name: String,
-    state: Option<DenseState>,
+    state: Option<Fitted<DenseNet>>,
 }
 
-struct DenseState {
-    ps: ParamStore,
+struct DenseNet {
     enc1: Linear,
     enc2: Linear,
     dec1: Linear,
     dec2: Linear,
-    norm: ZScore,
-    dims: usize,
+}
+
+impl DenseNet {
+    /// Reconstructs flattened `[B, win_len * dims]` windows.
+    fn forward(&self, ctx: &Ctx, x: Var) -> Var {
+        let g = ctx.g;
+        let h = g.relu(self.enc1.forward(ctx, x));
+        let z = self.enc2.forward(ctx, h);
+        let h = g.relu(self.dec1.forward(ctx, z));
+        self.dec2.forward(ctx, h)
+    }
 }
 
 impl DenseAutoencoder {
     /// New dense AE with the given display name (e.g. "OmniAno*").
     pub fn new(display_name: &str, proto: DeepProtocol, latent: usize) -> Self {
         Self { proto, latent, display_name: display_name.to_string(), state: None }
-    }
-
-    fn forward(state: &DenseState, ctx: &Ctx, values: &[f32], b: usize, t: usize) -> tfmae_tensor::Var {
-        let g = ctx.g;
-        let n = state.dims;
-        let x = g.constant_from(values, vec![b, t * n]);
-        let h = g.relu(state.enc1.forward(ctx, x));
-        let z = state.enc2.forward(ctx, h);
-        let h = g.relu(state.dec1.forward(ctx, z));
-        state.dec2.forward(ctx, h)
     }
 }
 
@@ -60,54 +56,30 @@ impl Detector for DenseAutoencoder {
     }
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
-        let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let in_dim = p.win_len * dims;
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
-        let hidden = p.d_model.max(self.latent * 2);
-        let state = DenseState {
-            enc1: Linear::new(&mut ps, &mut rng, "ae.enc1", in_dim, hidden),
-            enc2: Linear::new(&mut ps, &mut rng, "ae.enc2", hidden, self.latent),
-            dec1: Linear::new(&mut ps, &mut rng, "ae.dec1", self.latent, hidden),
-            dec2: Linear::new(&mut ps, &mut rng, "ae.dec2", hidden, in_dim),
-            ps,
-            norm,
-            dims,
-        };
-        let mut state = state;
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
-            for (bi, (starts, values)) in
-                training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64).into_iter().enumerate()
-            {
-                let b = starts.len();
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ (epoch * 1000 + bi) as u64);
-                let rec = Self::forward(&state, &ctx, &values, b, p.win_len);
-                let x = g.constant_from(&values, vec![b, p.win_len * state.dims]);
-                let loss = g.mse(rec, x);
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
+        let (p, latent) = (self.proto, self.latent);
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| {
+            let in_dim = p.win_len * tn.dims();
+            let hidden = p.d_model.max(latent * 2);
+            DenseNet {
+                enc1: Linear::new(ps, rng, "ae.enc1", in_dim, hidden),
+                enc2: Linear::new(ps, rng, "ae.enc2", hidden, latent),
+                dec1: Linear::new(ps, rng, "ae.dec1", latent, hidden),
+                dec2: Linear::new(ps, rng, "ae.dec2", hidden, in_dim),
             }
-        }
-        self.state = Some(state);
+        };
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, b, _| {
+            let x = ctx.g.constant_from(values, vec![b, p.win_len * f.dims]);
+            ctx.g.mse(f.net.forward(ctx, x), x)
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
         let p = self.proto;
-        let s = state.norm.transform(series);
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let rec = Self::forward(state, &ctx, values, b, p.win_len);
-            let x = g.constant_from(values, vec![b, p.win_len * state.dims]);
-            let err3 = g.reshape(g.square(g.sub(rec, x)), &[b, p.win_len, state.dims]);
+        score_deep(&p, self.state.as_ref(), series, |f, ctx, values, b| {
+            let g = ctx.g;
+            let x = g.constant_from(values, vec![b, p.win_len * f.dims]);
+            let rec = f.net.forward(ctx, x);
+            let err3 = g.reshape(g.square(g.sub(rec, x)), &[b, p.win_len, f.dims]);
             g.value(g.mean_last(err3, false))
         })
     }
@@ -120,38 +92,31 @@ pub struct TransformerRecon {
     /// Transformer layers.
     pub layers: usize,
     display_name: String,
-    state: Option<TransState>,
+    state: Option<Fitted<TransNet>>,
 }
 
-struct TransState {
-    ps: ParamStore,
+struct TransNet {
     proj: Linear,
     stack: TransformerStack,
     head: Linear,
     posenc: Vec<f32>,
-    norm: ZScore,
-    dims: usize,
+}
+
+impl TransNet {
+    /// Reconstructs `[B, t, dims]` windows.
+    fn forward(&self, ctx: &Ctx, x: Var, t: usize) -> Var {
+        let g = ctx.g;
+        let h = self.proj.forward(ctx, x);
+        let h = g.add(h, g.constant_from(&self.posenc, vec![t, self.proj.out_dim]));
+        let h = self.stack.forward(ctx, h);
+        self.head.forward(ctx, h)
+    }
 }
 
 impl TransformerRecon {
     /// New Transformer reconstructor with the given display name.
     pub fn new(display_name: &str, proto: DeepProtocol, layers: usize) -> Self {
         Self { proto, layers, display_name: display_name.to_string(), state: None }
-    }
-
-    fn forward(state: &TransState, ctx: &Ctx, values: &[f32], b: usize, t: usize) -> tfmae_tensor::Var {
-        let g = ctx.g;
-        let n = state.dims;
-        let d = state.proj.out_dim;
-        let x = g.constant_from(values, vec![b, t, n]);
-        let h = state.proj.forward(ctx, x);
-        let mut pe = Vec::with_capacity(b * t * d);
-        for _ in 0..b {
-            pe.extend_from_slice(&state.posenc);
-        }
-        let h = g.add(h, g.constant(pe, vec![b, t, d]));
-        let h = state.stack.forward(ctx, h);
-        state.head.forward(ctx, h)
     }
 }
 
@@ -162,11 +127,6 @@ impl Detector for TransformerRecon {
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
         let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
         let tc = TransformerConfig {
             d_model: p.d_model,
             heads: 4.min(p.d_model),
@@ -174,46 +134,25 @@ impl Detector for TransformerRecon {
             layers: self.layers,
             activation: Activation::Gelu,
         };
-        let mut state = TransState {
-            proj: Linear::new(&mut ps, &mut rng, "tr.proj", dims, p.d_model),
-            stack: TransformerStack::new(&mut ps, &mut rng, "tr.stack", &tc),
-            head: Linear::new(&mut ps, &mut rng, "tr.head", p.d_model, dims),
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| TransNet {
+            proj: Linear::new(ps, rng, "tr.proj", tn.dims(), p.d_model),
+            stack: TransformerStack::new(ps, rng, "tr.stack", &tc),
+            head: Linear::new(ps, rng, "tr.head", p.d_model, tn.dims()),
             posenc: tfmae_nn::encoding_table(p.win_len, p.d_model),
-            ps,
-            norm,
-            dims,
         };
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
-            for (bi, (starts, values)) in
-                training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64).into_iter().enumerate()
-            {
-                let b = starts.len();
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ (epoch * 977 + bi) as u64);
-                let rec = Self::forward(&state, &ctx, &values, b, p.win_len);
-                let x = g.constant_from(&values, vec![b, p.win_len, state.dims]);
-                let loss = g.mse(rec, x);
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
-            }
-        }
-        self.state = Some(state);
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, b, _| {
+            let x = ctx.g.constant_from(values, vec![b, p.win_len, f.dims]);
+            ctx.g.mse(f.net.forward(ctx, x, p.win_len), x)
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
         let p = self.proto;
-        let s = state.norm.transform(series);
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let rec = Self::forward(state, &ctx, values, b, p.win_len);
-            let x = g.constant_from(values, vec![b, p.win_len, state.dims]);
-            let err = g.square(g.sub(rec, x));
-            g.value(g.mean_last(err, false))
+        score_deep(&p, self.state.as_ref(), series, |f, ctx, values, b| {
+            let g = ctx.g;
+            let x = g.constant_from(values, vec![b, p.win_len, f.dims]);
+            let rec = f.net.forward(ctx, x, p.win_len);
+            g.value(g.mean_last(g.square(g.sub(rec, x)), false))
         })
     }
 }
@@ -221,6 +160,8 @@ impl Detector for TransformerRecon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tfmae_data::{render, Component};
 
     fn wave_series(len: usize, seed: u64) -> TimeSeries {

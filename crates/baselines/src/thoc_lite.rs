@@ -11,13 +11,11 @@
 //! nearest-center assignment instead of the original's soft fuzzy
 //! clustering, and no self-supervised TSS auxiliary task.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
-use tfmae_nn::{Adam, Ctx, Gru};
+use tfmae_data::{Detector, TimeSeries};
+use tfmae_nn::{Ctx, Gru};
 use tfmae_tensor::{Graph, ParamId, ParamStore, Var};
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// THOC-lite detector.
 pub struct ThocLite {
@@ -27,17 +25,40 @@ pub struct ThocLite {
     pub hidden: usize,
     /// Clusters per scale.
     pub clusters: usize,
-    state: Option<State>,
+    state: Option<Fitted<Net>>,
 }
 
-struct State {
-    ps: ParamStore,
+struct Net {
     scales: Vec<Gru>,
     centers: Vec<ParamId>, // one [K, hidden] per scale
-    norm: ZScore,
-    dims: usize,
-    hidden: usize,
-    clusters: usize,
+}
+
+impl Net {
+    /// Soft-min center distance at scale `si` of each of the `rows`
+    /// observations of `x [B, T, dims]`, each scale representing them with
+    /// `hidden` features.
+    fn distance(&self, ctx: &Ctx, x: Var, si: usize, rows: usize, hidden: usize) -> Var {
+        let g = ctx.g;
+        let reps = g.reshape(self.scales[si].forward(ctx, x), &[rows, hidden]);
+        let centers = g.param(ctx.ps, self.centers[si]);
+        soft_min_distance(g, reps, centers)
+    }
+}
+
+/// Nearest-center squared distance for every `[rows, hidden]` row against
+/// a `[K, hidden]` center matrix, computed with a soft-min so gradients
+/// reach both representations and centers.
+///
+/// `softmin_τ(d_1..d_K) = Σ_k softmax(−d/τ)_k · d_k` with τ = 0.5.
+fn soft_min_distance(g: &Graph, reps: Var, centers: Var) -> Var {
+    // dists[r, c] = ||rep_r − center_c||²
+    //            = ||rep||² − 2·rep·centerᵀ + ||center||²
+    let rep_sq = g.sum_last(g.square(reps), true); // [rows, 1]
+    let cen_sq = g.sum_last(g.square(centers), false); // [K]
+    let cross = g.matmul(reps, g.transpose_last(centers)); // [rows, K]
+    let dists = g.add(g.add(g.scale(cross, -2.0), rep_sq), cen_sq);
+    let weights = g.softmax_last(g.scale(dists, -2.0)); // softmin weights, τ = 0.5
+    g.sum_last(g.mul(weights, dists), false) // [rows]
 }
 
 impl ThocLite {
@@ -45,23 +66,6 @@ impl ThocLite {
     pub fn new(proto: DeepProtocol, hidden: usize, clusters: usize) -> Self {
         assert!(clusters >= 1);
         Self { proto, hidden, clusters, state: None }
-    }
-
-    /// Nearest-center squared distance for every `[B*T, hidden]` row against
-    /// a `[K, hidden]` center matrix, computed with a soft-min so gradients
-    /// reach both representations and centers.
-    ///
-    /// `softmin_τ(d_1..d_K) = Σ_k softmax(−d/τ)_k · d_k` with τ = 0.5.
-    fn soft_min_distance(g: &Graph, reps: Var, centers: Var, rows: usize, k: usize) -> Var {
-        // dists[r, c] = ||rep_r − center_c||²
-        //            = ||rep||² − 2·rep·centerᵀ + ||center||²
-        let rep_sq = g.sum_last(g.square(reps), true); // [rows, 1]
-        let cen_sq = g.sum_last(g.square(centers), false); // [K]
-        let cross = g.matmul(reps, g.transpose_last(centers)); // [rows, K]
-        let dists = g.add(g.add(g.scale(cross, -2.0), rep_sq), cen_sq);
-        let _ = (rows, k);
-        let weights = g.softmax_last(g.scale(dists, -2.0)); // softmin weights, τ = 0.5
-        g.sum_last(g.mul(weights, dists), false) // [rows]
     }
 }
 
@@ -71,69 +75,42 @@ impl Detector for ThocLite {
     }
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
-        let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
-        let scales = vec![
-            Gru::new(&mut ps, &mut rng, "thoc.s1", dims, self.hidden, 1),
-            Gru::new(&mut ps, &mut rng, "thoc.s2", dims, self.hidden, 4),
-        ];
-        let centers: Vec<ParamId> = (0..scales.len())
-            .map(|si| {
-                ps.add(
-                    format!("thoc.centers{si}"),
-                    tfmae_nn::init::uniform(&mut rng, self.clusters * self.hidden, 0.5),
-                    vec![self.clusters, self.hidden],
-                )
+        let (p, hidden, clusters) = (self.proto, self.hidden, self.clusters);
+        let build = |ps: &mut ParamStore, rng: &mut _, tn: &TimeSeries| {
+            let scales = vec![
+                Gru::new(ps, rng, "thoc.s1", tn.dims(), hidden, 1),
+                Gru::new(ps, rng, "thoc.s2", tn.dims(), hidden, 4),
+            ];
+            let centers = (0..scales.len())
+                .map(|si| {
+                    ps.add(
+                        format!("thoc.centers{si}"),
+                        tfmae_nn::init::uniform(rng, clusters * hidden, 0.5),
+                        vec![clusters, hidden],
+                    )
+                })
+                .collect();
+            Net { scales, centers }
+        };
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, b, _| {
+            let g = ctx.g;
+            let rows = b * p.win_len;
+            let x = g.constant_from(values, vec![b, p.win_len, f.dims]);
+            (0..f.net.scales.len()).fold(g.scalar(0.0), |loss, si| {
+                g.add(loss, g.mean_all(f.net.distance(ctx, x, si, rows, hidden)))
             })
-            .collect();
-        let mut state =
-            State { ps, scales, centers, norm, dims, hidden: self.hidden, clusters: self.clusters };
-
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
-            for (starts, values) in
-                training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64)
-            {
-                let b = starts.len();
-                let rows = b * p.win_len;
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ epoch as u64);
-                let x = g.constant_from(&values, vec![b, p.win_len, dims]);
-                let mut loss = g.scalar(0.0);
-                for (si, gru) in state.scales.iter().enumerate() {
-                    let reps = g.reshape(gru.forward(&ctx, x), &[rows, state.hidden]);
-                    let centers = g.param(&state.ps, state.centers[si]);
-                    let d = Self::soft_min_distance(&g, reps, centers, rows, state.clusters);
-                    loss = g.add(loss, g.mean_all(d));
-                }
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
-            }
-        }
-        self.state = Some(state);
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
         let p = self.proto;
-        let s = state.norm.transform(series);
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
+        score_deep(&p, self.state.as_ref(), series, |f, ctx, values, b| {
             let rows = b * p.win_len;
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let x = g.constant_from(values, vec![b, p.win_len, state.dims]);
+            let x = ctx.g.constant_from(values, vec![b, p.win_len, f.dims]);
             let mut total = vec![0.0f32; rows];
-            for (si, gru) in state.scales.iter().enumerate() {
-                let reps = g.reshape(gru.forward(&ctx, x), &[rows, state.hidden]);
-                let centers = g.param(&state.ps, state.centers[si]);
-                let d = Self::soft_min_distance(&g, reps, centers, rows, state.clusters);
-                for (acc, v) in total.iter_mut().zip(g.value(d)) {
+            for si in 0..f.net.scales.len() {
+                let d = f.net.distance(ctx, x, si, rows, self.hidden);
+                for (acc, v) in total.iter_mut().zip(ctx.g.value(d)) {
                     *acc += v;
                 }
             }
@@ -145,6 +122,8 @@ impl Detector for ThocLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tfmae_data::{render, Component};
 
     fn series(len: usize, seed: u64) -> TimeSeries {

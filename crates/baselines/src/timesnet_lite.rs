@@ -9,29 +9,24 @@
 //! frequency domain"). The 2-D convolution backbone is replaced by a small
 //! MLP over the periodic lags.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
+use tfmae_data::{Detector, TimeSeries};
 use tfmae_fft::amplitude_spectrum;
-use tfmae_nn::{Adam, Ctx, Linear};
-use tfmae_tensor::{Graph, ParamStore, Var};
+use tfmae_nn::{Ctx, Linear};
+use tfmae_tensor::Var;
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// TimesNet-lite detector.
 pub struct TimesNetLite {
     /// Protocol.
     pub proto: DeepProtocol,
-    state: Option<State>,
+    state: Option<Fitted<Net>>,
 }
 
-struct State {
-    ps: ParamStore,
+struct Net {
     l1: Linear,
     l2: Linear,
     period: usize,
-    norm: ZScore,
-    dims: usize,
 }
 
 /// Dominant period of a series: the rFFT bin (excluding DC) with the
@@ -64,44 +59,45 @@ pub fn dominant_period(s: &TimeSeries, max_len: usize) -> usize {
     (len / best).clamp(2, len / 2)
 }
 
+/// Builds periodic-lag features `[rows, 2]` for all `b × t × dims`
+/// scalar positions (lags edge-clamped at the window head).
+fn lag_features(values: &[f32], b: usize, t: usize, dims: usize, period: usize) -> Vec<f32> {
+    let mut out = Vec::with_capacity(b * t * dims * 2);
+    for w in 0..b {
+        let win = &values[w * t * dims..(w + 1) * t * dims];
+        for ti in 0..t {
+            let l1 = ti.saturating_sub(period);
+            let l2 = ti.saturating_sub(2 * period);
+            for n in 0..dims {
+                out.push(win[l1 * dims + n]);
+                out.push(win[l2 * dims + n]);
+            }
+        }
+    }
+    out
+}
+
+impl Net {
+    /// Predicts every scalar of `b` windows of `t × dims` from its periodic
+    /// lags; returns `(prediction, target)`, both `[b * t * dims, 1]`.
+    fn predict(&self, ctx: &Ctx, values: &[f32], b: usize, t: usize, dims: usize) -> (Var, Var) {
+        let g = ctx.g;
+        let rows = b * t * dims;
+        let x = g.constant(lag_features(values, b, t, dims, self.period), vec![rows, 2]);
+        let h = g.relu(self.l1.forward(ctx, x));
+        (self.l2.forward(ctx, h), g.constant_from(values, vec![rows, 1]))
+    }
+}
+
 impl TimesNetLite {
     /// Creates an untrained TimesNet-lite.
     pub fn new(proto: DeepProtocol) -> Self {
         Self { proto, state: None }
     }
 
-    /// Builds periodic-lag features `[rows, 2]` for all `b × t × dims`
-    /// scalar positions (lags edge-clamped at the window head).
-    fn lag_features(values: &[f32], b: usize, t: usize, dims: usize, period: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(b * t * dims * 2);
-        for w in 0..b {
-            let win = &values[w * t * dims..(w + 1) * t * dims];
-            for ti in 0..t {
-                let l1 = ti.saturating_sub(period);
-                let l2 = ti.saturating_sub(2 * period);
-                for n in 0..dims {
-                    out.push(win[l1 * dims + n]);
-                    out.push(win[l2 * dims + n]);
-                }
-            }
-        }
-        out
-    }
-
-    fn forward(state: &State, ctx: &Ctx, feats: Vec<f32>, rows: usize) -> Var {
-        let g = ctx.g;
-        let x = g.constant(feats, vec![rows, 2]);
-        let h = g.relu(state.l1.forward(ctx, x));
-        state.l2.forward(ctx, h)
-    }
-
-    fn targets(values: &[f32]) -> Vec<f32> {
-        values.to_vec()
-    }
-
     /// The period selected during fit (diagnostic).
     pub fn period(&self) -> Option<usize> {
-        self.state.as_ref().map(|s| s.period)
+        self.state.as_ref().map(|s| s.net.period)
     }
 }
 
@@ -112,62 +108,33 @@ impl Detector for TimesNetLite {
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
         let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let period = dominant_period(&tn, 4096).min(p.win_len / 2).max(1);
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
-        let mut state = State {
-            l1: Linear::new(&mut ps, &mut rng, "tn.l1", 2, 8),
-            l2: Linear::new(&mut ps, &mut rng, "tn.l2", 8, 1),
-            ps,
-            period,
-            norm,
-            dims,
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| Net {
+            l1: Linear::new(ps, rng, "tn.l1", 2, 8),
+            l2: Linear::new(ps, rng, "tn.l2", 8, 1),
+            period: dominant_period(tn, 4096).min(p.win_len / 2).max(1),
         };
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
-            for (starts, values) in training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64) {
-                let b = starts.len();
-                let rows = b * p.win_len * dims;
-                let feats = Self::lag_features(&values, b, p.win_len, dims, state.period);
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ epoch as u64);
-                let pred = Self::forward(&state, &ctx, feats, rows);
-                let y = g.constant(Self::targets(&values), vec![rows, 1]);
-                let loss = g.mse(pred, y);
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
-            }
-        }
-        self.state = Some(state);
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, b, _| {
+            let (pred, y) = f.net.predict(ctx, values, b, p.win_len, f.dims);
+            ctx.g.mse(pred, y)
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
         let p = self.proto;
-        let s = state.norm.transform(series);
-        let dims = state.dims;
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            let rows = b * p.win_len * dims;
-            let feats = Self::lag_features(values, b, p.win_len, dims, state.period);
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let pred = Self::forward(state, &ctx, feats, rows);
-            let y = g.constant(Self::targets(values), vec![rows, 1]);
-            let err3 = g.reshape(g.square(g.sub(pred, y)), &[b, p.win_len, dims]);
+        score_deep(&p, self.state.as_ref(), series, |f, ctx, values, b| {
+            let g = ctx.g;
+            let (pred, y) = f.net.predict(ctx, values, b, p.win_len, f.dims);
+            let err3 = g.reshape(g.square(g.sub(pred, y)), &[b, p.win_len, f.dims]);
             g.value(g.mean_last(err3, false))
         })
     }
-
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tfmae_data::{render, Component};
 
     fn periodic(len: usize, period: f64, seed: u64) -> TimeSeries {

@@ -7,13 +7,11 @@
 //! extra input channel and reconstructs through decoder 2, with decoder 2's
 //! error adversarially weighted as in the original's ε-schedule.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
-use tfmae_nn::{Activation, Adam, Ctx, Linear, TransformerConfig, TransformerStack};
-use tfmae_tensor::{Graph, ParamStore, Var};
+use tfmae_data::{Detector, TimeSeries};
+use tfmae_nn::{Activation, Ctx, Linear, TransformerConfig, TransformerStack};
+use tfmae_tensor::Var;
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// TranAD-lite detector.
 pub struct TranAdLite {
@@ -21,43 +19,37 @@ pub struct TranAdLite {
     pub proto: DeepProtocol,
     /// Transformer layers.
     pub layers: usize,
-    state: Option<State>,
+    state: Option<Fitted<Net>>,
 }
 
-struct State {
-    ps: ParamStore,
+struct Net {
     proj: Linear,
     focus_proj: Linear,
     stack: TransformerStack,
     dec1: Linear,
     dec2: Linear,
     posenc: Vec<f32>,
-    norm: ZScore,
-    dims: usize,
+}
+
+impl Net {
+    /// Encodes `x [B,T,N]` (+ optional focus channel) and returns both
+    /// decoder outputs.
+    fn forward(&self, ctx: &Ctx, x: Var, focus: Option<Var>, t: usize) -> (Var, Var) {
+        let g = ctx.g;
+        let mut h = self.proj.forward(ctx, x);
+        if let Some(f) = focus {
+            h = g.add(h, self.focus_proj.forward(ctx, f));
+        }
+        let h = g.add(h, g.constant_from(&self.posenc, vec![t, self.proj.out_dim]));
+        let h = self.stack.forward(ctx, h);
+        (self.dec1.forward(ctx, h), self.dec2.forward(ctx, h))
+    }
 }
 
 impl TranAdLite {
     /// Creates an untrained TranAD-lite.
     pub fn new(proto: DeepProtocol, layers: usize) -> Self {
         Self { proto, layers, state: None }
-    }
-
-    /// Encodes `x [B,T,N]` (+ optional focus channel) and returns both
-    /// decoder outputs.
-    fn forward(state: &State, ctx: &Ctx, x: Var, focus: Option<Var>, b: usize, t: usize) -> (Var, Var) {
-        let g = ctx.g;
-        let d = state.proj.out_dim;
-        let mut h = state.proj.forward(ctx, x);
-        if let Some(f) = focus {
-            h = g.add(h, state.focus_proj.forward(ctx, f));
-        }
-        let mut pe = Vec::with_capacity(b * t * d);
-        for _ in 0..b {
-            pe.extend_from_slice(&state.posenc);
-        }
-        let h = g.add(h, g.constant(pe, vec![b, t, d]));
-        let h = state.stack.forward(ctx, h);
-        (state.dec1.forward(ctx, h), state.dec2.forward(ctx, h))
     }
 }
 
@@ -68,11 +60,6 @@ impl Detector for TranAdLite {
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
         let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
         let tc = TransformerConfig {
             d_model: p.d_model,
             heads: 4.min(p.d_model),
@@ -80,59 +67,46 @@ impl Detector for TranAdLite {
             layers: self.layers,
             activation: Activation::Gelu,
         };
-        let mut state = State {
-            proj: Linear::new(&mut ps, &mut rng, "tranad.proj", dims, p.d_model),
-            focus_proj: Linear::with_bias(&mut ps, &mut rng, "tranad.focus", dims, p.d_model, false),
-            stack: TransformerStack::new(&mut ps, &mut rng, "tranad.enc", &tc),
-            dec1: Linear::new(&mut ps, &mut rng, "tranad.dec1", p.d_model, dims),
-            dec2: Linear::new(&mut ps, &mut rng, "tranad.dec2", p.d_model, dims),
-            posenc: tfmae_nn::encoding_table(p.win_len, p.d_model),
-            ps,
-            norm,
-            dims,
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| {
+            let dims = tn.dims();
+            Net {
+                proj: Linear::new(ps, rng, "tranad.proj", dims, p.d_model),
+                focus_proj: Linear::with_bias(ps, rng, "tranad.focus", dims, p.d_model, false),
+                stack: TransformerStack::new(ps, rng, "tranad.enc", &tc),
+                dec1: Linear::new(ps, rng, "tranad.dec1", p.d_model, dims),
+                dec2: Linear::new(ps, rng, "tranad.dec2", p.d_model, dims),
+                posenc: tfmae_nn::encoding_table(p.win_len, p.d_model),
+            }
         };
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, b, epoch| {
+            let g = ctx.g;
             let n = (epoch + 1) as f32;
             let (w1, w2) = (1.0 / n, 1.0 - 1.0 / n);
-            for (starts, values) in training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64) {
-                let b = starts.len();
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ epoch as u64);
-                let x = g.constant_from(&values, vec![b, p.win_len, dims]);
+            let x = g.constant_from(values, vec![b, p.win_len, f.dims]);
 
-                // Phase 1: no focus.
-                let (o1, _) = Self::forward(&state, &ctx, x, None, b, p.win_len);
-                let e1 = g.mse(o1, x);
+            // Phase 1: no focus.
+            let (o1, _) = f.net.forward(ctx, x, None, p.win_len);
+            let e1 = g.mse(o1, x);
 
-                // Phase 2: self-conditioning on the detached phase-1 error.
-                let focus = g.detach(g.square(g.sub(o1, x)));
-                let (_, o2) = Self::forward(&state, &ctx, x, Some(focus), b, p.win_len);
-                let e2 = g.mse(o2, x);
+            // Phase 2: self-conditioning on the detached phase-1 error.
+            let focus = g.detach(g.square(g.sub(o1, x)));
+            let (_, o2) = f.net.forward(ctx, x, Some(focus), p.win_len);
+            let e2 = g.mse(o2, x);
 
-                // Original schedule: the plain phase-1 term decays (ε^{-n})
-                // while the self-conditioned phase-2 term grows (1 − ε^{-n}).
-                let loss = g.add(g.scale(e1, w1), g.scale(e2, w2.max(w1)));
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
-            }
-        }
-        self.state = Some(state);
+            // Original schedule: the plain phase-1 term decays (ε^{-n})
+            // while the self-conditioned phase-2 term grows (1 − ε^{-n}).
+            g.add(g.scale(e1, w1), g.scale(e2, w2.max(w1)))
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
         let p = self.proto;
-        let s = state.norm.transform(series);
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let x = g.constant_from(values, vec![b, p.win_len, state.dims]);
-            let (o1, _) = Self::forward(state, &ctx, x, None, b, p.win_len);
+        score_deep(&p, self.state.as_ref(), series, |f, ctx, values, b| {
+            let g = ctx.g;
+            let x = g.constant_from(values, vec![b, p.win_len, f.dims]);
+            let (o1, _) = f.net.forward(ctx, x, None, p.win_len);
             let focus = g.square(g.sub(o1, x));
-            let (_, o2) = Self::forward(state, &ctx, x, Some(focus), b, p.win_len);
+            let (_, o2) = f.net.forward(ctx, x, Some(focus), p.win_len);
             // Score = ½(e1 + e2) per observation, as in the original.
             let e1 = g.mean_last(g.square(g.sub(o1, x)), false);
             let e2 = g.mean_last(g.square(g.sub(o2, x)), false);
@@ -144,7 +118,10 @@ impl Detector for TranAdLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tfmae_data::{render, Component};
+    use tfmae_tensor::Graph;
 
     fn series(len: usize, seed: u64) -> TimeSeries {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -187,10 +164,10 @@ mod tests {
         let g = Graph::new();
         let ctx = Ctx::eval(&g, &state.ps);
         let x = g.constant(s.data().to_vec(), vec![1, p.win_len, 2]);
-        let (o1, _) = TranAdLite::forward(state, &ctx, x, None, 1, p.win_len);
+        let (o1, _) = state.net.forward(&ctx, x, None, p.win_len);
         let focus = g.square(g.sub(o1, x));
-        let (_, with_focus) = TranAdLite::forward(state, &ctx, x, Some(focus), 1, p.win_len);
-        let (_, without) = TranAdLite::forward(state, &ctx, x, None, 1, p.win_len);
+        let (_, with_focus) = state.net.forward(&ctx, x, Some(focus), p.win_len);
+        let (_, without) = state.net.forward(&ctx, x, None, p.win_len);
         assert_ne!(g.value(with_focus), g.value(without));
     }
 }

@@ -10,13 +10,11 @@
 //!
 //! Score: `α·||w − D1(E(w))|| + β·||w − D2(E(D1(E(w))))||` per observation.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tfmae_data::{Detector, TimeSeries, ZScore};
-use tfmae_nn::{Adam, Ctx, Linear};
-use tfmae_tensor::{Graph, ParamStore, Var};
+use tfmae_data::{Detector, TimeSeries};
+use tfmae_nn::{Ctx, Linear};
+use tfmae_tensor::Var;
 
-use crate::common::{score_windows, training_batches_strided, DeepProtocol};
+use crate::common::{fit_deep, score_deep, DeepProtocol, Fitted};
 
 /// USAD detector.
 pub struct Usad {
@@ -26,40 +24,36 @@ pub struct Usad {
     pub latent: usize,
     /// Score mixing weight α (β = 1 − α).
     pub alpha: f32,
-    state: Option<State>,
+    state: Option<Fitted<Net>>,
 }
 
-struct State {
-    ps: ParamStore,
+struct Net {
     enc: Linear,
     enc2: Linear,
     d1a: Linear,
     d1b: Linear,
     d2a: Linear,
     d2b: Linear,
-    norm: ZScore,
-    dims: usize,
+}
+
+impl Net {
+    fn encode(&self, ctx: &Ctx, x: Var) -> Var {
+        self.enc2.forward(ctx, ctx.g.relu(self.enc.forward(ctx, x)))
+    }
+
+    fn dec1(&self, ctx: &Ctx, z: Var) -> Var {
+        self.d1b.forward(ctx, ctx.g.relu(self.d1a.forward(ctx, z)))
+    }
+
+    fn dec2(&self, ctx: &Ctx, z: Var) -> Var {
+        self.d2b.forward(ctx, ctx.g.relu(self.d2a.forward(ctx, z)))
+    }
 }
 
 impl Usad {
     /// Creates an untrained USAD.
     pub fn new(proto: DeepProtocol, latent: usize) -> Self {
         Self { proto, latent, alpha: 0.5, state: None }
-    }
-
-    fn encode(state: &State, ctx: &Ctx, x: Var) -> Var {
-        let g = ctx.g;
-        state.enc2.forward(ctx, g.relu(state.enc.forward(ctx, x)))
-    }
-
-    fn dec1(state: &State, ctx: &Ctx, z: Var) -> Var {
-        let g = ctx.g;
-        state.d1b.forward(ctx, g.relu(state.d1a.forward(ctx, z)))
-    }
-
-    fn dec2(state: &State, ctx: &Ctx, z: Var) -> Var {
-        let g = ctx.g;
-        state.d2b.forward(ctx, g.relu(state.d2a.forward(ctx, z)))
     }
 }
 
@@ -69,84 +63,63 @@ impl Detector for Usad {
     }
 
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
-        let p = self.proto;
-        let norm = ZScore::fit(train);
-        let tn = norm.transform(train);
-        let dims = train.dims();
-        let in_dim = p.win_len * dims;
-        let mut ps = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(p.seed);
-        let hidden = p.d_model;
-        let state = State {
-            enc: Linear::new(&mut ps, &mut rng, "usad.enc", in_dim, hidden),
-            enc2: Linear::new(&mut ps, &mut rng, "usad.enc2", hidden, self.latent),
-            d1a: Linear::new(&mut ps, &mut rng, "usad.d1a", self.latent, hidden),
-            d1b: Linear::new(&mut ps, &mut rng, "usad.d1b", hidden, in_dim),
-            d2a: Linear::new(&mut ps, &mut rng, "usad.d2a", self.latent, hidden),
-            d2b: Linear::new(&mut ps, &mut rng, "usad.d2b", hidden, in_dim),
-            ps,
-            norm,
-            dims,
+        let (p, latent) = (self.proto, self.latent);
+        let build = |ps: &mut _, rng: &mut _, tn: &TimeSeries| {
+            let in_dim = p.win_len * tn.dims();
+            let hidden = p.d_model;
+            Net {
+                enc: Linear::new(ps, rng, "usad.enc", in_dim, hidden),
+                enc2: Linear::new(ps, rng, "usad.enc2", hidden, latent),
+                d1a: Linear::new(ps, rng, "usad.d1a", latent, hidden),
+                d1b: Linear::new(ps, rng, "usad.d1b", hidden, in_dim),
+                d2a: Linear::new(ps, rng, "usad.d2a", latent, hidden),
+                d2b: Linear::new(ps, rng, "usad.d2b", hidden, in_dim),
+            }
         };
-        let mut state = state;
-        let mut opt = Adam::new(&state.ps, p.lr);
-        let g = Graph::from_env();
-        for epoch in 0..p.epochs {
+        self.state = Some(fit_deep(&p, train, build, |f, ctx, values, b, epoch| {
+            let (g, net) = (ctx.g, &f.net);
             let n = (epoch + 1) as f32;
             let (w1, w2) = (1.0 / n, 1.0 - 1.0 / n);
-            for (starts, values) in training_batches_strided(&tn, p.win_len, p.train_stride, p.batch, p.seed ^ epoch as u64) {
-                let b = starts.len();
-                g.reset();
-                let ctx = Ctx::train(&g, &state.ps, p.seed ^ epoch as u64);
-                let x = g.constant_from(&values, vec![b, in_dim]);
-                let z = Self::encode(&state, &ctx, x);
-                let r1 = Self::dec1(&state, &ctx, z);
-                let r2 = Self::dec2(&state, &ctx, z);
+            let x = g.constant_from(values, vec![b, p.win_len * f.dims]);
+            let z = net.encode(ctx, x);
+            let r1 = net.dec1(ctx, z);
+            let r2 = net.dec2(ctx, z);
 
-                // AE1's phase: e12 through the live r1 (gradient reaches
-                // encoder + dec1 + dec2; dec1 learns to make its output
-                // reconstructable by AE2 — the original's L1).
-                let z2 = Self::encode(&state, &ctx, r1);
-                let r12 = Self::dec2(&state, &ctx, z2);
-                let e12 = g.mse(r12, x);
+            // AE1's phase: e12 through the live r1 (gradient reaches
+            // encoder + dec1 + dec2; dec1 learns to make its output
+            // reconstructable by AE2 — the original's L1).
+            let z2 = net.encode(ctx, r1);
+            let r12 = net.dec2(ctx, z2);
+            let e12 = g.mse(r12, x);
 
-                // AE2's adversarial phase: maximize the error on AE1's
-                // *frozen* output (the original trains AE2 with a separate
-                // optimizer; the stop-gradient reproduces that routing —
-                // without it the +w2/−w2 terms on one node cancel exactly).
-                let z2f = Self::encode(&state, &ctx, g.detach(r1));
-                let r12f = Self::dec2(&state, &ctx, z2f);
-                let e12f = g.mse(r12f, x);
+            // AE2's adversarial phase: maximize the error on AE1's
+            // *frozen* output (the original trains AE2 with a separate
+            // optimizer; the stop-gradient reproduces that routing —
+            // without it the +w2/−w2 terms on one node cancel exactly).
+            let z2f = net.encode(ctx, g.detach(r1));
+            let r12f = net.dec2(ctx, z2f);
+            let e12f = g.mse(r12f, x);
 
-                let e1 = g.mse(r1, x);
-                let e2 = g.mse(r2, x);
-                let l1 = g.add(g.scale(e1, w1), g.scale(e12, w2));
-                let l2 = g.sub(g.scale(e2, w1), g.scale(e12f, w2));
-                let loss = g.add(l1, l2);
-                g.backward_params_pooled(loss, &mut state.ps);
-                opt.step(&mut state.ps);
-            }
-        }
-        self.state = Some(state);
+            let e1 = g.mse(r1, x);
+            let e2 = g.mse(r2, x);
+            let l1 = g.add(g.scale(e1, w1), g.scale(e12, w2));
+            let l2 = g.sub(g.scale(e2, w1), g.scale(e12f, w2));
+            g.add(l1, l2)
+        }));
     }
 
     fn score(&self, series: &TimeSeries) -> Vec<f32> {
-        let state = self.state.as_ref().expect("fit before score");
         let p = self.proto;
-        let s = state.norm.transform(series);
-        let in_dim = p.win_len * state.dims;
-        let g = Graph::from_env();
-        score_windows(&s, p.win_len, p.batch, |values, b| {
-            g.reset();
-            let ctx = Ctx::eval(&g, &state.ps);
-            let x = g.constant_from(values, vec![b, in_dim]);
-            let z = Self::encode(state, &ctx, x);
-            let r1 = Self::dec1(state, &ctx, z);
-            let z2 = Self::encode(state, &ctx, r1);
-            let r12 = Self::dec2(state, &ctx, z2);
+        score_deep(&p, self.state.as_ref(), series, |f, ctx, values, b| {
+            let (g, net) = (ctx.g, &f.net);
+            let x = g.constant_from(values, vec![b, p.win_len * f.dims]);
+            let z = net.encode(ctx, x);
+            let r1 = net.dec1(ctx, z);
+            let z2 = net.encode(ctx, r1);
+            let r12 = net.dec2(ctx, z2);
 
-            let e1 = g.reshape(g.square(g.sub(r1, x)), &[b, p.win_len, state.dims]);
-            let e12 = g.reshape(g.square(g.sub(r12, x)), &[b, p.win_len, state.dims]);
+            let e1 = g.reshape(g.square(g.sub(r1, x)), &[b, p.win_len, f.dims]);
+            let e12 = g.reshape(g.square(g.sub(r12, x)), &[b, p.win_len, f.dims]);
             let per_t = g.add(
                 g.scale(g.mean_last(e1, false), self.alpha),
                 g.scale(g.mean_last(e12, false), 1.0 - self.alpha),
@@ -159,6 +132,8 @@ impl Detector for Usad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tfmae_data::{render, Component};
 
     fn series(len: usize, seed: u64) -> TimeSeries {

@@ -1,5 +1,5 @@
 //! The common interface every anomaly detector in this workspace implements
-//! (TFMAE and all 10 baselines), so the experiment harness can run them
+//! (TFMAE and all 12 baselines), so the experiment harness can run them
 //! under one identical protocol (§V-A5: "for a fair comparison").
 
 use crate::series::TimeSeries;

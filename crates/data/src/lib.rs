@@ -43,4 +43,4 @@ pub use datasets::{generate, Benchmark, DatasetKind, DatasetSpec, PaperHparams};
 pub use normalize::{ZScore, MIN_STD};
 pub use series::TimeSeries;
 pub use synth::{apply_regime_shift, render, render_correlated, Component, RegimeShift};
-pub use window::{batch_windows, extract_windows, fold_scores, ScoreAccumulator, Window};
+pub use window::{batch_windows, extract_windows, ScoreAccumulator, Window};

@@ -72,11 +72,10 @@ pub fn batch_windows(windows: &[Window], batch: usize) -> Vec<(Vec<usize>, Vec<f
 }
 
 /// Streaming fold of per-window scores onto the series timeline: windows are
-/// added one slice at a time (no intermediate `(start, Vec<f32>)` copies),
-/// overlaps average, uncovered positions finish at zero.
-///
-/// This is the allocation-free core of [`fold_scores`]; scoring loops feed it
-/// slices straight out of their batch output buffers.
+/// added one slice at a time, straight out of a scoring loop's batch output
+/// buffers; overlapping windows average their contributions and uncovered
+/// positions finish at zero (every observation is covered by construction of
+/// [`extract_windows`]).
 pub struct ScoreAccumulator {
     win_len: usize,
     acc: Vec<f64>,
@@ -112,17 +111,6 @@ impl ScoreAccumulator {
             .map(|(&a, &c)| if c > 0 { (a / c as f64) as f32 } else { 0.0 })
             .collect()
     }
-}
-
-/// Scatters per-window, per-timestep scores back onto the series timeline.
-/// Overlapping windows average their contributions; every observation is
-/// covered by construction of [`extract_windows`].
-pub fn fold_scores(series_len: usize, win_len: usize, windows: &[(usize, Vec<f32>)]) -> Vec<f32> {
-    let mut folder = ScoreAccumulator::new(series_len, win_len);
-    for (start, scores) in windows {
-        folder.add(*start, scores);
-    }
-    folder.finish()
 }
 
 #[cfg(test)]
@@ -188,27 +176,20 @@ mod tests {
     #[test]
     fn fold_averages_overlaps() {
         // Two windows overlap on index 2..4.
-        let folded = fold_scores(6, 4, &[(0, vec![1.0; 4]), (2, vec![3.0; 4])]);
-        assert_eq!(folded, vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
-    }
-
-    #[test]
-    fn accumulator_matches_fold_scores() {
-        let windows = vec![(0usize, vec![1.0, 2.0, 3.0, 4.0]), (2, vec![5.0, 6.0, 7.0, 8.0])];
-        let mut folder = ScoreAccumulator::new(7, 4);
-        for (s, w) in &windows {
-            folder.add(*s, w);
-        }
-        assert_eq!(folder.finish(), fold_scores(7, 4, &windows));
+        let mut folder = ScoreAccumulator::new(6, 4);
+        folder.add(0, &[1.0; 4]);
+        folder.add(2, &[3.0; 4]);
+        assert_eq!(folder.finish(), vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
     }
 
     #[test]
     fn fold_roundtrips_extract() {
         let s = ramp(13);
-        let ws = extract_windows(&s, 5, 5);
-        let per: Vec<(usize, Vec<f32>)> =
-            ws.iter().map(|w| (w.start, w.values.clone())).collect();
-        let folded = fold_scores(13, 5, &per);
+        let mut folder = ScoreAccumulator::new(13, 5);
+        for w in extract_windows(&s, 5, 5) {
+            folder.add(w.start, &w.values);
+        }
+        let folded = folder.finish();
         // Univariate identity scores reproduce the ramp where unambiguous.
         for (t, v) in folded.iter().enumerate() {
             assert!((v - t as f32).abs() < 1e-6);

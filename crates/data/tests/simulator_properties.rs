@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tfmae_data::{
-    batch_windows, extract_windows, fold_scores, generate, DatasetKind, TimeSeries, ZScore,
+    batch_windows, extract_windows, generate, DatasetKind, ScoreAccumulator, TimeSeries, ZScore,
 };
 
 const CASES: u64 = 40;
@@ -82,10 +82,13 @@ fn fold_of_constant_scores_is_constant() {
         let mut rng = StdRng::seed_from_u64(case);
         let len = rng.gen_range(50usize..300);
         let s = TimeSeries::univariate(vec![0.0; len]);
-        let ws = extract_windows(&s, 25.min(len), 25.min(len));
-        let per: Vec<(usize, Vec<f32>)> =
-            ws.iter().map(|w| (w.start, vec![2.5; 25.min(len)])).collect();
-        let folded = fold_scores(len, 25.min(len), &per);
+        let win = 25.min(len);
+        let scores = vec![2.5; win];
+        let mut folder = ScoreAccumulator::new(len, win);
+        for w in extract_windows(&s, win, win) {
+            folder.add(w.start, &scores);
+        }
+        let folded = folder.finish();
         assert!(folded.iter().all(|&v| (v - 2.5).abs() < 1e-6), "case {case}");
     }
 }

@@ -71,6 +71,8 @@ pub fn scan_registry(dir: &Path) -> io::Result<Vec<RegistryEntry>> {
 /// Renders the scan as the fixed-width table `tfmae models ls` prints.
 /// Columns: name, format version, CRC status, serving precision, patch
 /// length, window length, input dims, adaptive-section presence, file size.
+/// A file that cannot be inspected reads `ERROR` in the CRC column and the
+/// reason in place of its size.
 pub fn models_table(entries: &[RegistryEntry]) -> String {
     let mut rows: Vec<[String; 9]> = vec![[
         "NAME".into(),
@@ -107,20 +109,24 @@ pub fn models_table(entries: &[RegistryEntry]) -> String {
                 },
                 info.file_bytes.to_string(),
             ]),
+            // The reason goes in the last column, which is never padded.
             Err(err) => rows.push([
                 e.name.clone(),
                 "-".into(),
-                format!("ERROR: {err}"),
+                "ERROR".into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
-                "-".into(),
+                err.clone(),
             ]),
         }
     }
+    // The CRC column starts as wide as `ERROR`, so an unreadable file
+    // leaves every width where the readable files put it.
     let mut widths = [0usize; 9];
+    widths[2] = "ERROR".len();
     for row in &rows {
         for (w, cell) in widths.iter_mut().zip(row.iter()) {
             *w = (*w).max(cell.len());
@@ -197,6 +203,7 @@ mod tests {
         })
         .expect("fresh model checkpoints");
         det.save(dir.join("current.json")).expect("save");
+        let alone = models_table(&scan_registry(&dir).expect("scan"));
         // The shape of a format-2 file: a JSON envelope around a payload.
         std::fs::write(dir.join("old.json"), r#"{"version":2,"crc32":0,"payload":"{}"}"#)
             .expect("write");
@@ -213,7 +220,14 @@ mod tests {
         let table = models_table(&entries);
         let row = |name: &str| table.lines().find(|l| l.starts_with(name)).expect(name);
         assert!(row("current").contains("  ok  "), "{table}");
-        assert!(row("old").contains("ERROR: checkpoint corrupt: JSON checkpoint"), "{table}");
+        assert!(row("old").contains("  ERROR  "), "{table}");
+        assert!(row("old").ends_with(err.as_str()), "{table}");
+        // An unreadable file widens no column: the header and the readable
+        // row print the same bytes with and without it.
+        let line = |t: &str, name: &str| t.lines().find(|l| l.starts_with(name)).map(str::to_string);
+        for name in ["NAME", "current"] {
+            assert_eq!(line(&table, name), line(&alone, name), "{table}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
