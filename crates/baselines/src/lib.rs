@@ -24,6 +24,7 @@
 //! BeatGAN and DAEMON are covered by family representatives (see
 //! DESIGN.md §5 and EXPERIMENTS.md for the documented mapping).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod anotran_lite;

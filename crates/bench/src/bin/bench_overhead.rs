@@ -1,4 +1,4 @@
-//! Paired overhead check: three A/B comparisons of the serving engine at
+//! Paired overhead check: two A/B comparisons of the serving engine at
 //! S=8 streams, on one fitted model and one replay.
 //!
 //! ```text
@@ -8,9 +8,6 @@
 //! * `obs` — the global metrics registry off vs on. Contract: enabled
 //!   within 2% of disabled (the disabled path is one relaxed atomic load
 //!   per instrumented call site).
-//! * `shards` — `ServingConfig::shards` 1 vs 4. On a 1-core host the
-//!   coordinator runs every shard serially, so this isolates the fan-out
-//!   and merge machinery; contract: shards=4 within 2% of shards=1.
 //! * `bf16` — f32 vs bf16 weight serving.
 //!
 //! Per-replay scheduler noise on a shared host is ±5–10%, far above the
@@ -21,7 +18,7 @@
 //! a ratio above 1 means B is slower, printed as B's overhead in percent.
 //! Rows/s are each side's best replay.
 //!
-//! `obs` and `shards` are bitwise determinism contracts (test-asserted in
+//! `obs` is a bitwise determinism contract (test-asserted in
 //! `serving_parity`): every replay also compares the verdict scores of the
 //! two sides bit for bit, and the process exits 1 on a mismatch rather than
 //! time two programs that disagree. bf16 scores differ from f32 by design.
@@ -172,11 +169,6 @@ fn main() {
     );
     tfmae_obs::set_enabled(false);
     report("obs", threads, ("off", "on"), obs);
-
-    let mut s1 = side(ServingConfig { shards: 1, ..base.clone() });
-    let mut s4 = side(ServingConfig { shards: 4, ..base.clone() });
-    let shards = abba(blocks, true, || s1.replay(), || s4.replay());
-    report("shards", threads, ("shards=1", "shards=4"), shards);
 
     let mut f32s = side(ServingConfig { precision: Precision::F32, ..base.clone() });
     let mut bf16 = side(ServingConfig { precision: Precision::Bf16, ..base });

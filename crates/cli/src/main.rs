@@ -33,14 +33,14 @@ USAGE:
   tfmae quantize --model FILE.json --out OUT.json [--precision <bf16|int8>]
   tfmae serve    --model FILE.json --input FILE.csv [--input FILE.csv ...]
                  (--threshold F | --val FILE.csv [--ratio F]) [--hop N]
-                 [--precision <f32|bf16|int8>] [--shards N]
-                 [--refresh-every N] [--out-dir DIR] [--lenient]
+                 [--precision <f32|bf16|int8>] [--refresh-every N]
+                 [--out-dir DIR] [--lenient]
                  [--metrics-out FILE.json] [--metrics-prom FILE.prom]
                  [--adapt] [--adapt-ratio F] [--adapt-every N] [--adapt-min-samples N]
                  [--adapt-window N] [--adapt-holdoff N] [--adapt-finetune]
                  [--adapt-save OUT.json]
-  tfmae server   --listen ADDR --registry DIR [--shards N] [--workers N]
-                 [--queue-cap N] [--max-body BYTES] [--drain-grace-secs N]
+  tfmae server   --listen ADDR --registry DIR [--workers N] [--queue-cap N]
+                 [--max-body BYTES] [--drain-grace-secs N]
   tfmae models   ls --registry DIR
   tfmae help
 
@@ -56,10 +56,10 @@ the same tick are scored in one cross-stream batch, and per-stream verdicts
 given. --val both derives the threshold (at --ratio, default 0.01) and
 freezes each stream's score calibration so online scores match the offline
 scale. --refresh-every tunes the exact re-seed cadence of the incremental
-masking state (default 64 hops).
---shards N partitions the streams across N engine shards that ingest and
-score in parallel on multi-core hosts; verdicts are bitwise identical at any
-shard count (default 1).
+masking state (default 64 hops). The engine spreads ingest and scoring
+over TFMAE_THREADS threads (default: all cores) by itself, fanning a tick's
+ingest out only when its rows are wide enough to pay for it; verdicts are
+bitwise identical at any thread count.
 
 --patch-len folds that many consecutive time steps into one temporal token
 (Ti-MAE-style patch embedding): attention cost in the temporal branch drops
@@ -110,7 +110,7 @@ the Prometheus node-exporter textfile collector at the --metrics-prom file.
 
 EXIT CODES:
   0  success
-  2  usage error (bad flags, bad values, unknown command)
+  2  usage error (unknown or bad flags, bad values, unknown command)
   3  data error (unreadable/malformed CSV, channel mismatch, missing labels)
   4  checkpoint error (missing, corrupt, or incompatible model file)
   5  internal error"
@@ -176,6 +176,14 @@ impl Args {
             }
         }
         Self { flags }
+    }
+
+    /// Refuses the first flag outside `known`, the flags the command takes.
+    fn check(&self, known: &[&str]) -> Result<(), CliError> {
+        match self.flags.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            Some((k, _)) => Err(CliError::Usage(format!("unknown flag --{k}"))),
+            None => Ok(()),
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -552,10 +560,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         streams_data.push(s);
     }
 
-    let shards: usize = args.num("shards", 1)?;
-    if shards == 0 {
-        return Err(CliError::Usage("--shards must be >= 1".into()));
-    }
     let val = match args.get("val") {
         Some(p) if !p.is_empty() => {
             let (v, _) = load_series(p, lenient)?;
@@ -580,7 +584,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut cfg = ServingConfig::new(threshold, hop);
     cfg.refresh_every = refresh_every;
     cfg.precision = precision;
-    cfg.shards = shards;
     if adapt_on {
         let base = AdaptationConfig::enabled();
         cfg.adaptation = AdaptationConfig {
@@ -662,7 +665,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         .count();
     let ticks = tick_hist.snapshot();
     println!(
-        "served {} stream(s) on {shards} shard(s): {total_rows} rows, {total_verdicts} verdicts, \
+        "served {} stream(s): {total_rows} rows, {total_verdicts} verdicts, \
          {anomalies} anomalies (threshold δ = {threshold:.6}, hop {hop}, precision {precision}, \
          incremental, refresh every {refresh_every}, kernels {})",
         streams_data.len(),
@@ -751,7 +754,6 @@ fn cmd_server(args: &Args) -> Result<(), CliError> {
     let listen = args.require("listen")?;
     let registry = PathBuf::from(args.require("registry")?);
     let mut cfg = tfmae_server::ServerConfig::new(listen, registry);
-    cfg.shards = args.num("shards", cfg.shards)?;
     cfg.workers = args.num("workers", cfg.workers)?;
     cfg.queue_cap = args.num("queue-cap", cfg.queue_cap)?;
     cfg.max_body = args.num("max-body", cfg.max_body)?;
@@ -792,6 +794,31 @@ fn cmd_models(sub: Option<&str>, args: &Args) -> Result<(), CliError> {
     }
 }
 
+/// The flags each command takes; [`Args::check`] refuses any other, so a
+/// mistyped or retired flag is a usage error instead of silently ignored.
+/// `None` for `help` and unknown commands, which are not checked.
+fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "simulate" => &["dataset", "divisor", "seed", "out-dir"],
+        "train" => &[
+            "train", "val", "model", "lenient", "epochs", "win", "d-model", "layers", "rt", "rf",
+            "patch-len", "seed",
+        ],
+        "score" => &["model", "input", "out", "lenient"],
+        "evaluate" => &["model", "input", "val", "ratio", "lenient"],
+        "quantize" => &["model", "out", "precision"],
+        "serve" => &[
+            "model", "input", "threshold", "val", "ratio", "hop", "precision", "refresh-every",
+            "out-dir", "lenient", "metrics-out", "metrics-prom", "adapt", "adapt-ratio",
+            "adapt-every", "adapt-min-samples", "adapt-window", "adapt-holdoff", "adapt-finetune",
+            "adapt-save",
+        ],
+        "server" => &["listen", "registry", "workers", "queue-cap", "max-body", "drain-grace-secs"],
+        "models" => &["registry"],
+        _ => return None,
+    })
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first().map(String::as_str) else {
@@ -799,7 +826,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let args = Args::parse(&argv[1..]);
-    let result = match cmd {
+    let checked = command_flags(cmd).map_or(Ok(()), |known| args.check(known));
+    let result = checked.and_then(|()| match cmd {
         "simulate" => cmd_simulate(&args),
         "train" => cmd_train(&args),
         "score" => cmd_score(&args),
@@ -813,7 +841,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(CliError::Usage(format!("unknown command {other:?}\n\n{}", usage()))),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -166,13 +166,14 @@ fn serve_rejects_out_of_range_hop_threshold_and_refresh_every() {
     let (model, data) = prepared(&dir);
     let out_dir = dir.join("never_written");
     // The model was trained with --win 32.
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--threshold", "0.5", "--hop", "0"], "--hop must be in 1..=32"),
         (&["--threshold", "0.5", "--hop", "33"], "--hop must be in 1..=32"),
         (&["--threshold", "nan"], "--threshold must be a finite number"),
         (&["--threshold", "inf"], "--threshold must be a finite number"),
         (&["--threshold", "-inf"], "--threshold must be a finite number"),
         (&["--threshold", "0.5", "--refresh-every", "0"], "--refresh-every must be >= 1"),
+        (&["--threshold", "0.5", "--shards", "4"], "unknown flag --shards"),
     ];
     for (flags, want) in cases {
         let out = bin()
@@ -197,7 +198,7 @@ fn serve_rejects_out_of_range_hop_threshold_and_refresh_every() {
 fn server_rejects_out_of_range_sizing_flags_before_binding() {
     let registry = tmpdir("server_flags");
     for (flag, value, want) in [
-        ("--shards", "0", "--shards must be >= 1"),
+        ("--shards", "0", "unknown flag --shards"),
         ("--workers", "0", "--workers must be >= 1"),
         ("--queue-cap", "0", "--queue-cap must be >= 1"),
         ("--max-body", "1023", "--max-body must be >= 1024"),

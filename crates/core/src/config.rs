@@ -268,20 +268,20 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let mut cfg = TfmaeConfig::default();
-        cfg.heads = 3; // 64 % 3 != 0
+        let cfg = TfmaeConfig { heads: 3, ..Default::default() }; // 64 % 3 != 0
         assert!(cfg.validate().is_err());
 
-        let mut cfg = TfmaeConfig::default();
-        cfg.r_temporal = 1.0;
+        let cfg = TfmaeConfig { r_temporal: 1.0, ..Default::default() };
         assert!(cfg.validate().is_err());
 
         let cfg = TfmaeConfig { win_len: MAX_WIN_LEN + 1, ..Default::default() };
         assert!(cfg.validate().is_err());
 
-        let mut cfg = TfmaeConfig::default();
-        cfg.use_temporal_branch = false;
-        cfg.use_frequency_branch = false;
+        let cfg = TfmaeConfig {
+            use_temporal_branch: false,
+            use_frequency_branch: false,
+            ..Default::default()
+        };
         assert!(cfg.validate().is_err());
     }
 

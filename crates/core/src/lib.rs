@@ -31,6 +31,7 @@
 //! assert!(prf.f1 >= 0.0); // full protocol runs end to end
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

@@ -48,38 +48,38 @@
 //! the next clean data. [`ServingEngine::health`] reports counters for all
 //! of this.
 //!
-//! # Scoring lanes and stream sharding
+//! # Scoring lanes and ingest fan-out
 //!
-//! Scoring parallelism follows the detector's worker pool, not the shard
-//! count: the engine owns one *lane* per pool thread, each a serial scratch
-//! executor with its own tape arena and buffer pool (a one-thread detector
-//! has a single lane, its own executor). [`ServingEngine::flush`] splits
-//! the staged windows in staging order into at least one chunk per lane,
-//! and one dispatch on the detector's pool runs the lanes: each scores its
-//! own share of chunks through the one shared read-only model, then steals
-//! any chunk left unclaimed. Scored rows merge back on the coordinating
-//! thread in staging order.
+//! Scoring parallelism follows the detector's worker pool: the engine owns
+//! one *lane* per pool thread, each a serial scratch executor with its own
+//! tape arena and buffer pool (a one-thread detector has a single lane, its
+//! own executor). [`ServingEngine::flush`] splits the staged windows in
+//! staging order into at least one chunk per lane, and one dispatch on the
+//! detector's pool runs the lanes: each scores its own share of chunks
+//! through the one shared read-only model, then steals any chunk left
+//! unclaimed. Scored rows merge back on the coordinating thread in staging
+//! order.
 //!
-//! With [`ServingConfig::shards`] ` = N > 1` the per-stream incremental
-//! state splits into N shards (least-loaded assignment on
-//! [`ServingEngine::add_stream`], slots recycled on
-//! [`ServingEngine::remove_stream`]), and [`ServingEngine::tick`] fans
-//! ingested rows out to their shards over the detector's worker pool.
-//! Shards partition stream state for that fan-out only; every engine
-//! scores through the same lanes.
+//! Stream state lives in one flat table; [`ServingEngine::remove_stream`]
+//! frees a slot for the next [`ServingEngine::add_stream`]. A
+//! [`ServingEngine::tick`] groups its rows by stream, and one task per
+//! stream ingests that stream's rows in input order. The tasks fan out over
+//! the detector's worker pool only when the tick's ingest work — rows ×
+//! `dims` × `(win_len/2 + 1)` sliding-DFT bin updates — clears a gate
+//! (`MIN_PAR_INGEST`, measured in DESIGN.md §18): wide rows pay for the
+//! wake-up, narrow ones ingest inline on the coordinator.
 //!
 //! A window's scores depend neither on the chunk it lands in (the forward
 //! kernels are batch-invariant) nor on the lane that runs it (each lane is
-//! a serial executor, and kernels are thread-invariant), so verdicts are
-//! **bitwise identical at any lane, shard and thread count**
-//! (test-asserted at threads 1/2/4 × shards 1/2/4). Calibration, threshold
-//! adaptation and background fine-tune stay on the coordinating thread:
-//! workers only exist inside the blocking fan-out calls, so the
-//! fine-tune/rollback snapshot handoff needs no locks — the next flush
-//! simply re-borrows the updated detector. Per-shard counters
-//! (`serve.shard<k>.rows/windows`) and per-lane counters
-//! (`serve.lane<k>.chunks/steals`) roll those dimensions up into the
-//! process registry.
+//! a serial executor, and kernels are thread-invariant), and ingest
+//! outcomes merge back in input-row order, so verdicts are **bitwise
+//! identical at any thread count** (test-asserted at threads 1/2/4, with
+//! and without an ingest fan-out). Calibration, threshold adaptation and
+//! background fine-tune stay on the coordinating thread: workers only exist
+//! inside the blocking fan-out calls, so the fine-tune/rollback snapshot
+//! handoff needs no locks — the next flush simply re-borrows the updated
+//! detector. Per-lane counters (`serve.lane<k>.chunks/steals`) roll the
+//! lane dimension up into the process registry.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -89,7 +89,7 @@ use tfmae_data::TimeSeries;
 use tfmae_fft::{Complex64, RollingStats, SlidingDft, CV_EPS};
 use tfmae_nn::Ctx;
 use tfmae_obs::{Counter, LazyCounter, LazyGauge, LazyHistogram, LazySpan};
-use tfmae_tensor::{ExecStats, Executor, Graph, Precision, QuantStore};
+use tfmae_tensor::{gated_min_chunk, ExecStats, Executor, Graph, Precision, QuantStore};
 
 use crate::adapt::{param_hash, AdaptationConfig, AdaptationStats, AdaptiveRuntime, AdaptiveSnapshot};
 use crate::config::{TemporalMaskKind, TfmaeConfig};
@@ -125,6 +125,21 @@ const STALENESS_BUDGET: usize = 8;
 /// Consecutive bad rows (any channel non-finite) before a stream enters
 /// quarantine and discards its buffer.
 const QUARANTINE_AFTER: usize = 16;
+/// Minimum ingest work of one tick, in sliding-DFT bin updates (rows ×
+/// `dims` × `(win_len/2 + 1)`), before [`ServingEngine::tick`] fans its
+/// per-stream ingest tasks out over the detector's worker pool; below it
+/// the tick ingests inline on the coordinator.
+///
+/// Measured on a 2-core Xeon (AVX-512), `win_len` 100 (51 bins): the median
+/// tick that stages no window, inline on a 1-thread executor against fanned
+/// out over 2 threads, 11 alternating pairs per size. At 38 channels,
+/// fan-out won 6/11 at 15,504 units (8 streams), 4/11 at 23,256, 9/11 at
+/// 31,008, and 10–11/11 from 38,760 up (0.48–0.70x the inline time). At
+/// 1 channel it won 2/11 at 13,056 and at 26,112, and 9/11 at 39,168 and
+/// 52,224. The gate sits at that crossover: `serve_narrow` (64 × 1 × 51 =
+/// 3,264) and the daemon's wide tenant (8 × 38 × 51 = 15,504) ingest
+/// inline, `serve_wide` (128 × 38 × 51 = 248,064) fans out.
+const MIN_PAR_INGEST: usize = 32 * 1024;
 
 /// Stream operating mode (see [`StreamHealth`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,18 +222,15 @@ pub struct ServingConfig {
     /// fine-tune (the f32 weights it would descend on are released);
     /// threshold recalibration still runs.
     pub precision: Precision,
-    /// Engine shards (≥ 1). Each shard owns the incremental state for its
-    /// partition of streams, and ticks fan rows out to the shards over the
-    /// detector's worker pool; `1` (the default) ingests serially on the
-    /// coordinator. Scoring does not depend on it: flushes always run on
-    /// one lane per pool thread. Verdicts are bitwise identical at any
-    /// shard count. See the module docs.
+    /// Ignored. The engine picks its ingest fan-out from each tick's work
+    /// (see the module docs); the field stays only until the benchmark
+    /// fixture, which still sets it, stops doing so.
     pub shards: usize,
 }
 
 impl ServingConfig {
     /// Defaults: degraded mode on, refresh every 64 hops, incremental state,
-    /// one shard.
+    /// f32 weights, adaptation off.
     pub fn new(threshold: f32, hop: usize) -> Self {
         Self {
             threshold,
@@ -304,8 +316,8 @@ pub struct RowRejection {
 /// one bad row).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TickReport {
-    /// Verdicts in deterministic stream/staging order, exactly as the
-    /// pre-shard engine emitted them.
+    /// Verdicts in deterministic input-row/staging order: quarantine
+    /// verdicts in input-row order, then scored windows in staging order.
     pub verdicts: Vec<ServingVerdict>,
     /// Rows refused this tick, in input order.
     pub rejections: Vec<RowRejection>,
@@ -426,7 +438,7 @@ struct PendingWindow {
     window_clean: bool,
 }
 
-/// A `serve.<label><k>.<suffix>` counter (e.g. `serve.shard0.rows`) that
+/// A `serve.<label><k>.<suffix>` counter (e.g. `serve.lane0.chunks`) that
 /// registers lazily (like `LazyCounter`, but for a runtime name interned
 /// via [`tfmae_obs::intern`]: one allocation per distinct name process-wide,
 /// however many engines are built) and records only while observability is
@@ -446,38 +458,6 @@ impl LabeledCounter {
         if tfmae_obs::enabled() {
             self.cell.get_or_init(|| tfmae_obs::global().counter(self.name)).add(n);
         }
-    }
-}
-
-/// One engine shard: the incremental masking state for its partition of
-/// streams. Shards only partition stream state for the ingest fan-out;
-/// scoring runs on the engine's lanes. Its counters roll the shard
-/// dimension up into the process registry as `serve.shard<k>.*` (the
-/// unlabeled `serve.*` counters remain process totals).
-struct Shard {
-    /// Stream slots; a slot index is the `local` half of a route entry.
-    streams: Vec<StreamState>,
-    /// Recycled slots of removed streams, refilled before growing.
-    free: Vec<usize>,
-    /// Rows ingested by this shard.
-    rows: LabeledCounter,
-    /// Windows this shard's streams staged.
-    windows: LabeledCounter,
-}
-
-impl Shard {
-    fn new(shard: usize) -> Self {
-        Self {
-            streams: Vec::new(),
-            free: Vec::new(),
-            rows: LabeledCounter::new("shard", shard, "rows"),
-            windows: LabeledCounter::new("shard", shard, "windows"),
-        }
-    }
-
-    /// Live streams on this shard (assignment load).
-    fn live(&self) -> usize {
-        self.streams.len() - self.free.len()
     }
 }
 
@@ -505,10 +485,10 @@ impl Lane {
     }
 }
 
-/// What one ingested row produced on its shard; engine-level effects
-/// (quarantine probation accounting, staging) are applied by the
-/// coordinator in row order, so the fan-out path reproduces the serial
-/// path's `AdaptiveRuntime` call sequence exactly.
+/// What one ingested row produced in its stream's state; engine-level
+/// effects (quarantine probation accounting, staging) are applied by the
+/// coordinator in input-row order, so a fanned-out tick reproduces the
+/// inline tick's `AdaptiveRuntime` call sequence exactly.
 enum RowOutcome {
     /// Buffered; nothing due.
     Buffered,
@@ -532,41 +512,15 @@ struct ScoredRow {
     calib: bool,
 }
 
-/// A row routed to a shard during ingest fan-out:
-/// (input row index, local slot, public stream id, row).
-type RoutedRow<'a> = (usize, usize, usize, &'a [f32]);
-
-/// Hands the shard fan-out disjoint `&mut` access to per-shard slots.
-///
-/// SAFETY contract (same as the kernel layer's `SendPtr`): the executor's
-/// `parallel_for` chunk ranges partition the index space, so each index is
-/// dereferenced by exactly one worker, and the call blocks until every
-/// chunk completed, so no reference outlives the borrow.
-struct ShardPtr<T> {
-    ptr: *mut T,
-    len: usize,
-}
-unsafe impl<T> Send for ShardPtr<T> {}
-unsafe impl<T> Sync for ShardPtr<T> {}
-
-impl<T> ShardPtr<T> {
-    fn new(slots: &mut [T]) -> Self {
-        Self { ptr: slots.as_mut_ptr(), len: slots.len() }
-    }
-
-    /// The `i`-th slot, mutably.
-    ///
-    /// # Safety
-    /// The caller must be the only worker touching index `i` for the
-    /// lifetime of the returned reference (the `parallel_for` partition
-    /// guarantees this), the backing slice must outlive that reference,
-    /// and `i` must be below the slice length recorded at construction
-    /// (checked by a debug assertion).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn at(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len, "shard slot {i} out of bounds ({})", self.len);
-        &mut *self.ptr.add(i)
-    }
+/// One row of a tick, routed to its stream's slot; `outcome` is filled by
+/// the task that ingests the slot's rows.
+struct RoutedRow<'a> {
+    slot: usize,
+    /// Index of the row in the tick's input.
+    input: usize,
+    stream: usize,
+    row: &'a [f32],
+    outcome: Option<RowOutcome>,
 }
 
 /// Multiplexes N independent streams over one shared fitted detector,
@@ -576,12 +530,14 @@ pub struct ServingEngine {
     cfg: ServingConfig,
     win_len: usize,
     dims: usize,
-    /// Engine shards (always ≥ 1); stream state lives here.
-    shards: Vec<Shard>,
+    /// The stream table: one slot of incremental state per stream.
+    streams: Vec<StreamState>,
+    /// Slots of removed streams, refilled before the table grows.
+    free: Vec<usize>,
     /// Scoring lanes (one per worker-pool thread of the detector).
     lanes: Vec<Lane>,
-    /// Public stream id → `(shard, local slot)`; `None` after removal.
-    route: Vec<Option<(usize, usize)>>,
+    /// Public stream id → slot; `None` after removal.
+    route: Vec<Option<usize>>,
     pending: Vec<PendingWindow>,
     /// Drift-adaptation state machine (present even when adaptation is
     /// disabled, so the calibration-anchored drift gauge still works).
@@ -603,13 +559,11 @@ impl ServingEngine {
         let dims = model.dims();
         assert!((1..=win_len).contains(&cfg.hop), "hop must be in 1..=win_len");
         assert!(cfg.refresh_every >= 1, "refresh_every must be >= 1");
-        assert!(cfg.shards >= 1, "shards must be >= 1");
         if let Err(e) = det.set_precision(cfg.precision) {
             panic!("ServingConfig::precision: {e}");
         }
         precision_gauge(det.precision());
         let adapt = AdaptiveRuntime::new(cfg.adaptation.clone(), cfg.threshold);
-        let shards = (0..cfg.shards).map(Shard::new).collect();
         // One serial lane per pool thread, so a flush keeps every thread
         // busy with whole forwards; the pool itself only runs the lanes.
         // A one-thread detector scores on its own executor.
@@ -629,7 +583,8 @@ impl ServingEngine {
             cfg,
             win_len,
             dims,
-            shards,
+            streams: Vec::new(),
+            free: Vec::new(),
             lanes,
             route: Vec::new(),
             pending: Vec::new(),
@@ -637,41 +592,35 @@ impl ServingEngine {
         }
     }
 
-    /// Registers a new stream and returns its id. The stream lands on the
-    /// least-loaded shard (lowest index on ties) and refills slots freed by
-    /// [`ServingEngine::remove_stream`] first, so the fleet rebalances
-    /// through register/unregister churn.
+    /// Registers a new stream and returns its id. The stream refills a slot
+    /// freed by [`ServingEngine::remove_stream`] before the table grows.
     pub fn add_stream(&mut self) -> usize {
-        let sh = (0..self.shards.len())
-            .min_by_key(|&k| (self.shards[k].live(), k))
-            .expect("engine always has >= 1 shard");
         let state = StreamState::new(self.win_len, self.dims, self.det.cfg.cv_window);
-        let shard = &mut self.shards[sh];
-        let loc = match shard.free.pop() {
-            Some(loc) => {
-                shard.streams[loc] = state;
-                loc
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.streams[slot] = state;
+                slot
             }
             None => {
-                shard.streams.push(state);
-                shard.streams.len() - 1
+                self.streams.push(state);
+                self.streams.len() - 1
             }
         };
-        self.route.push(Some((sh, loc)));
+        self.route.push(Some(slot));
         self.route.len() - 1
     }
 
     /// Unregisters a stream: its id is retired (never reused — subsequent
-    /// rows for it are rejected, not misrouted) and its shard slot is
-    /// recycled by the next [`ServingEngine::add_stream`]. Returns whether
-    /// the id was live. Windows the stream already staged still score on
-    /// the next flush.
+    /// rows for it are rejected, not misrouted) and its slot is recycled by
+    /// the next [`ServingEngine::add_stream`]. Returns whether the id was
+    /// live. Windows the stream already staged still score on the next
+    /// flush.
     pub fn remove_stream(&mut self, stream: usize) -> bool {
         match self.route.get(stream).copied().flatten() {
             None => false,
-            Some((sh, loc)) => {
+            Some(slot) => {
                 self.route[stream] = None;
-                self.shards[sh].free.push(loc);
+                self.free.push(slot);
                 true
             }
         }
@@ -682,14 +631,8 @@ impl ServingEngine {
         self.route.iter().flatten().count()
     }
 
-    /// Shard count (≥ 1).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Resolves a public stream id, panicking like the pre-shard engine did
-    /// on unknown ids.
-    fn slot(&self, stream: usize) -> (usize, usize) {
+    /// Resolves a public stream id to its slot, panicking on unknown ids.
+    fn slot(&self, stream: usize) -> usize {
         self.route
             .get(stream)
             .copied()
@@ -698,13 +641,12 @@ impl ServingEngine {
     }
 
     fn state(&self, stream: usize) -> &StreamState {
-        let (sh, loc) = self.slot(stream);
-        &self.shards[sh].streams[loc]
+        &self.streams[self.slot(stream)]
     }
 
     fn state_mut(&mut self, stream: usize) -> &mut StreamState {
-        let (sh, loc) = self.slot(stream);
-        &mut self.shards[sh].streams[loc]
+        let slot = self.slot(stream);
+        &mut self.streams[slot]
     }
 
     /// Input feature count per stream.
@@ -752,7 +694,7 @@ impl ServingEngine {
             .route
             .iter()
             .flatten()
-            .map(|&(sh, loc)| self.shards[sh].streams[loc].heap_bytes())
+            .map(|&slot| self.streams[slot].heap_bytes())
             .sum();
         let n = self.num_streams().max(1);
         (model_bytes + stream_bytes) / n
@@ -855,14 +797,12 @@ impl ServingEngine {
         stream: usize,
         row: &[f32],
     ) -> Result<Vec<ServingVerdict>, RowRejection> {
-        let Some((sh, loc)) = self.route.get(stream).copied().flatten() else {
+        let Some(slot) = self.route.get(stream).copied().flatten() else {
             return Err(reject(stream));
         };
-        let (det, cfg) = (&self.det, &self.cfg);
         let (win_len, dims) = (self.win_len, self.dims);
-        let shard = &mut self.shards[sh];
-        shard.rows.add(1);
-        let outcome = ingest_row(det, cfg, win_len, dims, stream, &mut shard.streams[loc], row);
+        let state = &mut self.streams[slot];
+        let outcome = ingest_row(&self.det, &self.cfg, win_len, dims, stream, state, row);
         Ok(match outcome {
             RowOutcome::Buffered => Vec::new(),
             RowOutcome::Quarantined(v) => {
@@ -872,7 +812,6 @@ impl ServingEngine {
                 vec![v]
             }
             RowOutcome::Staged(w) => {
-                shard.windows.add(1);
                 self.pending.push(*w);
                 Vec::new()
             }
@@ -891,8 +830,8 @@ impl ServingEngine {
     /// chunks on its serial scratch executor, then steals any chunk still
     /// unclaimed. A window's scores do not depend on which chunk it lands
     /// in (the forward kernels are batch-invariant, DESIGN.md §18) nor on
-    /// which lane runs it, so verdicts are bitwise identical at any lane,
-    /// shard and thread count; the scored rows merge back on the
+    /// which lane runs it, so verdicts are bitwise identical at any lane
+    /// and thread count; the scored rows merge back on the
     /// coordinator in staging order.
     pub fn flush(&mut self) -> Vec<ServingVerdict> {
         if self.pending.is_empty() {
@@ -1061,72 +1000,65 @@ impl ServingEngine {
         }
     }
 
-    /// One serving tick: ingest a row per live stream (fanned out to the
-    /// engine shards; with one shard the fan-out runs inline on the
-    /// coordinator), then score all windows that became due in cross-stream
-    /// batches on the engine's lanes. Rows addressed to unregistered stream
-    /// ids are reported as typed [`RowRejection`]s — never a panic, and
-    /// never silently dropped — while the remaining rows process normally.
-    /// A one-stream caller ticks one row at a time: `tick(&[(id, row)])`.
+    /// One serving tick: ingest a row per live stream (one task per
+    /// stream, fanned out over the detector's worker pool when the tick's
+    /// ingest work clears `MIN_PAR_INGEST`), then score all windows that
+    /// became due in cross-stream batches on the engine's lanes. Rows
+    /// addressed to unregistered stream ids are reported as typed
+    /// [`RowRejection`]s — never a panic, and never silently dropped —
+    /// while the remaining rows process normally. A one-stream caller ticks
+    /// one row at a time: `tick(&[(id, row)])`.
     pub fn tick(&mut self, rows: &[(usize, &[f32])]) -> TickReport {
         let mut report = TickReport::default();
-        self.fan_out_ingest(rows, &mut report);
+        self.ingest_tick(rows, &mut report);
         report.verdicts.extend(self.flush());
         report
     }
 
-    /// Routes a tick's rows to their shards and ingests shard-parallel over
-    /// the detector's worker pool; per-row outcomes merge back in input-row
-    /// order, so the engine-level effects (quarantine probation accounting,
-    /// window staging) replay exactly as the serial loop applies them.
-    fn fan_out_ingest(&mut self, rows: &[(usize, &[f32])], report: &mut TickReport) {
-        let nsh = self.shards.len();
-        let mut grouped: Vec<Vec<RoutedRow>> = vec![Vec::new(); nsh];
-        for (ri, &(stream, row)) in rows.iter().enumerate() {
+    /// Ingests a tick's rows: one sort of `(slot, input index)` groups them
+    /// by stream, each stream's rows run in input order in one task, and the
+    /// outcomes merge back in input-row order, so the engine-level effects
+    /// (quarantine probation accounting, window staging) replay exactly as
+    /// an inline loop over the rows applies them.
+    fn ingest_tick(&mut self, rows: &[(usize, &[f32])], report: &mut TickReport) {
+        let mut routed = Vec::with_capacity(rows.len());
+        for (input, &(stream, row)) in rows.iter().enumerate() {
             match self.route.get(stream).copied().flatten() {
                 None => report.rejections.push(reject(stream)),
-                Some((sh, loc)) => grouped[sh].push((ri, loc, stream, row)),
+                Some(slot) => routed.push(RoutedRow { slot, input, stream, row, outcome: None }),
             }
         }
-        let mut outs: Vec<Vec<(usize, RowOutcome)>> = (0..nsh).map(|_| Vec::new()).collect();
-        {
-            let det = &self.det;
-            let cfg = &self.cfg;
-            let (win_len, dims) = (self.win_len, self.dims);
-            let grouped = &grouped;
-            let shards_ptr = ShardPtr::new(&mut self.shards);
-            let outs_ptr = ShardPtr::new(&mut outs);
-            det.executor().parallel_for(nsh, 1, &|a, b| {
-                for (sh, rows) in grouped.iter().enumerate().take(b).skip(a) {
-                    // SAFETY: `parallel_for` chunk ranges partition `0..nsh`
-                    // and the call blocks until every chunk ran, so each
-                    // shard slot is mutated by exactly one worker (see
-                    // `ShardPtr`).
-                    let shard = unsafe { shards_ptr.at(sh) };
-                    let out = unsafe { outs_ptr.at(sh) };
-                    out.reserve(rows.len());
-                    for &(ri, loc, stream, row) in rows {
-                        shard.rows.add(1);
-                        let o = ingest_row(
-                            det,
-                            cfg,
-                            win_len,
-                            dims,
-                            stream,
-                            &mut shard.streams[loc],
-                            row,
-                        );
-                        if matches!(o, RowOutcome::Staged(_)) {
-                            shard.windows.add(1);
-                        }
-                        out.push((ri, o));
-                    }
-                }
-            });
+        routed.sort_unstable_by_key(|r| (r.slot, r.input));
+        let work = routed.len() * self.dims * (self.win_len / 2 + 1);
+
+        // One task per stream: its slot's state and its rows. Slots ascend,
+        // so splitting the table as the groups go hands out disjoint `&mut`.
+        let mut tasks: Vec<(&mut StreamState, &mut [RoutedRow])> = Vec::new();
+        let (mut table, mut base) = (&mut self.streams[..], 0);
+        for group in routed.chunk_by_mut(|a, b| a.slot == b.slot) {
+            let (state, rest) = std::mem::take(&mut table)[group[0].slot - base..]
+                .split_first_mut()
+                .expect("routed slots are in the table");
+            (table, base) = (rest, group[0].slot + 1);
+            tasks.push((state, group));
         }
-        let mut merged: Vec<(usize, RowOutcome)> = outs.into_iter().flatten().collect();
-        merged.sort_by_key(|&(ri, _)| ri);
-        for (_, o) in merged {
+        let (det, cfg) = (&self.det, &self.cfg);
+        let (win_len, dims) = (self.win_len, self.dims);
+        let n = tasks.len();
+        let min = gated_min_chunk(n, 1, work, MIN_PAR_INGEST);
+        det.executor().parallel_for_mut(n, min, [&mut tasks[..]], &|_, _, [part]| {
+            for (state, group) in part.iter_mut() {
+                for r in group.iter_mut() {
+                    r.outcome = Some(ingest_row(det, cfg, win_len, dims, r.stream, state, r.row));
+                }
+            }
+        });
+
+        let mut by_input: Vec<Option<RowOutcome>> = (0..rows.len()).map(|_| None).collect();
+        for r in routed {
+            by_input[r.input] = r.outcome;
+        }
+        for o in by_input.into_iter().flatten() {
             match o {
                 RowOutcome::Buffered => {}
                 RowOutcome::Quarantined(v) => {
@@ -1160,7 +1092,7 @@ fn reject(stream: usize) -> RowRejection {
 
 /// Sanitizes, buffers, and (on a completed hop) stages one row for one
 /// stream. This is the per-stream half of ingestion — it touches only the
-/// stream's own state plus process-wide atomic counters, so shard workers
+/// stream's own state plus process-wide atomic counters, so ingest tasks
 /// run it concurrently; the engine-level half (probation accounting,
 /// staging into the engine's pending queue) is applied by the coordinator
 /// from the returned [`RowOutcome`].
@@ -1260,19 +1192,21 @@ fn ingest_row(
         }
     }
     let slot = s.head;
-    let mut normed = Vec::with_capacity(dims);
-    for n in 0..dims {
-        normed.push((clean[n] - norm.mean[n]) / norm.std[n]);
-    }
+    let normed: Vec<f32> = clean
+        .iter()
+        .zip(norm.mean.iter().zip(&norm.std))
+        .map(|(&c, (&mean, &std))| (c - mean) / std)
+        .collect();
     if incremental {
         // Slide the spectra before the evicted sample is overwritten.
         if s.filled == win_len && s.sdft[0].is_warm() {
-            for n in 0..dims {
-                s.sdft[n].slide(s.ring[slot * dims + n] as f64, normed[n] as f64);
+            let evicted = &s.ring[slot * dims..(slot + 1) * dims];
+            for ((sdft, &old), &new) in s.sdft.iter_mut().zip(evicted).zip(&normed) {
+                sdft.slide(old as f64, new as f64);
             }
         }
-        for n in 0..dims {
-            s.roll[n].push(normed[n] as f64);
+        for (roll, &v) in s.roll.iter_mut().zip(&normed) {
+            roll.push(v as f64);
         }
         // Trailing statistic ending at this sample; meaningful once the
         // rolling window holds `cv_window` real samples, which covers
@@ -1882,6 +1816,29 @@ mod tests {
     }
 
     #[test]
+    fn tick_ingest_fans_out_only_past_the_work_gate() {
+        // Like the kernels' "large matmul must fan out / tiny bmm must stay
+        // serial": ticks that stage no window (warm-up rows), so `flush`
+        // dispatches nothing and every parallel task is the ingest fan-out.
+        let mut det = fitted();
+        det.set_executor(Arc::new(Executor::with_threads(2)));
+        let mut eng = ServingEngine::new(det, ServingConfig::new(f32::MAX, 1));
+        let per_row = eng.dims() * (eng.win_len() / 2 + 1);
+        let below = (MIN_PAR_INGEST - 1) / per_row;
+        let above = MIN_PAR_INGEST.div_ceil(per_row);
+        let ids: Vec<usize> = (0..above).map(|_| eng.add_stream()).collect();
+        let row = vec![0.5f32; eng.dims()];
+        let mut tick = |n: usize| {
+            let rows: Vec<(usize, &[f32])> = ids[..n].iter().map(|&id| (id, &row[..])).collect();
+            let before = eng.exec_stats().parallel_tasks;
+            assert!(eng.tick(&rows).verdicts.is_empty() && eng.pending_windows() == 0);
+            eng.exec_stats().parallel_tasks - before
+        };
+        assert_eq!(tick(below), 0, "{below} rows x {per_row} bins must ingest inline");
+        assert_eq!(tick(above), 1, "{above} rows x {per_row} bins must fan out once");
+    }
+
+    #[test]
     fn tick_coalesces_due_windows_into_batches() {
         let mut det = fitted();
         let win = det.cfg.win_len;
@@ -1957,9 +1914,7 @@ mod tests {
     fn removed_streams_reject_and_their_slots_are_recycled() {
         let det = fitted();
         let win = det.cfg.win_len;
-        let mut cfg = ServingConfig::new(f32::MAX, win);
-        cfg.shards = 2;
-        let mut eng = ServingEngine::new(det, cfg);
+        let mut eng = ServingEngine::new(det, ServingConfig::new(f32::MAX, win));
         let a = eng.add_stream();
         let b = eng.add_stream();
         assert_eq!(eng.num_streams(), 2);
@@ -1969,11 +1924,12 @@ mod tests {
         // A removed id is retired, not recycled: rows for it are rejected.
         let row = vec![0.0f32; eng.dims()];
         assert!(eng.try_ingest(a, &row).is_err());
-        // The freed shard slot is reused by the next registration; the old
-        // id keeps rejecting while the new stream scores end to end.
+        // The freed slot is reused by the next registration; the old id
+        // keeps rejecting while the new stream scores end to end.
         let c = eng.add_stream();
         assert_ne!(a, c);
         assert_eq!(eng.num_streams(), 2);
+        assert_eq!(eng.streams.len(), 2, "the freed slot is refilled, not appended");
         let data = series(win, 11);
         let mut verdicts = 0usize;
         for t in 0..win {

@@ -10,8 +10,9 @@
 //! 2. **Batched = solo** — N streams ticked through one engine must agree
 //!    bitwise with N independent single-stream engines: the forward kernels
 //!    are batch-invariant, so a window scores the same bits in any chunk.
-//! 3. **Lane/shard/thread invariance** — the whole verdict trace is bitwise
-//!    identical at executor threads 1/2/4 × shards 1/2/4.
+//! 3. **Thread invariance** — the whole verdict trace is bitwise identical
+//!    at executor threads 1/2/4, which set both the scoring lanes and the
+//!    ingest fan-out.
 
 use std::sync::Arc;
 
@@ -501,36 +502,33 @@ fn enabled_adaptation_recalibrates_delta_from_serving_scores() {
     );
 }
 
-// --------------------------------------------------------------- sharding
+// ------------------------------------------------------- thread invariance
 //
-// Contract 3: **thread and shard counts are invisible in the output.** The
-// engine scores on one lane per executor thread, windows score the same
-// bits in any chunk, and scored rows merge back on the coordinator in
-// staging order, so the full verdict trace — order, stream tags, and every
-// score bit — must be identical at threads 1/2/4 × shards 1/2/4 across the
-// whole battery: plain batched serving, quarantine storms, frozen
-// calibration, enabled adaptation, patch tokenization, and quantized
-// precision.
+// Contract 3: **the thread count is invisible in the output.** The engine
+// scores on one lane per executor thread, windows score the same bits in
+// any chunk, a tick whose ingest work clears the engine's gate fans its
+// per-stream tasks out over the threads, and both ingest outcomes and
+// scored rows merge back on the coordinator in input/staging order. So the
+// full verdict trace — order, stream tags, and every score bit — must be
+// identical at threads 1/2/4 across the whole battery: plain batched
+// serving, quarantine storms, frozen calibration, enabled adaptation, patch
+// tokenization, quantized precision, and ticks wide enough to fan ingest
+// out. (The `shard_count` test names predate the flat stream table: the
+// thread count is what shards the work now.)
 
-/// Replays per-stream data through one engine at a given executor thread
-/// count (= scoring lanes) and shard count, returning the full ordered
-/// (verdicts, rejections) trace plus the final effective threshold. `fault`
-/// may replace a (stream, t) row; `include` gates which streams
+/// Replays per-stream data through one engine, returning the full ordered
+/// (verdicts, rejections) trace plus the final effective threshold.
+/// `fault` may replace a (stream, t) row; `include` gates which streams
 /// participate in a tick (irregular interleaves).
-#[allow(clippy::too_many_arguments)]
-fn sharded_trace(
-    mut det: TfmaeDetector,
-    mut cfg: ServingConfig,
-    threads: usize,
-    shards: usize,
+fn serve_trace(
+    det: TfmaeDetector,
+    cfg: ServingConfig,
     datas: &[TimeSeries],
     calibrate: Option<&TimeSeries>,
     fault: &dyn Fn(usize, usize) -> Option<Vec<f32>>,
     include: &dyn Fn(usize, usize) -> bool,
     extra_rows: &dyn Fn(usize) -> Vec<(usize, Vec<f32>)>,
 ) -> (Vec<ServingVerdict>, Vec<RowRejection>, f32) {
-    det.set_executor(Arc::new(Executor::with_threads(threads)));
-    cfg.shards = shards;
     let mut eng = ServingEngine::new(det, cfg);
     let ids: Vec<usize> = datas.iter().map(|_| eng.add_stream()).collect();
     if let Some(val) = calibrate {
@@ -557,10 +555,10 @@ fn sharded_trace(
     (verdicts, rejections, eng.effective_threshold())
 }
 
-/// Asserts bitwise-identical traces over the grid of executor threads
-/// 1/2/4 × shards 1/2/4 and returns the (1 thread, 1 shard) reference
+/// Asserts bitwise-identical traces at executor threads (= scoring lanes
+/// and ingest fan-out width) 1/2/4 and returns the 1-thread reference
 /// trace.
-fn assert_shard_invariant(
+fn assert_thread_invariant(
     det: &TfmaeDetector,
     cfg: &ServingConfig,
     datas: &[TimeSeries],
@@ -569,42 +567,29 @@ fn assert_shard_invariant(
     include: &dyn Fn(usize, usize) -> bool,
     extra_rows: &dyn Fn(usize) -> Vec<(usize, Vec<f32>)>,
 ) -> Vec<ServingVerdict> {
-    let trace = |threads, shards| {
-        sharded_trace(
-            replicate(det),
-            cfg.clone(),
-            threads,
-            shards,
-            datas,
-            calibrate,
-            fault,
-            include,
-            extra_rows,
-        )
+    let trace = |threads| {
+        let mut det = replicate(det);
+        det.set_executor(Arc::new(Executor::with_threads(threads)));
+        serve_trace(det, cfg.clone(), datas, calibrate, fault, include, extra_rows)
     };
-    let (base_v, base_r, base_thr) = trace(1, 1);
+    let (base_v, base_r, base_thr) = trace(1);
     assert!(!base_v.is_empty(), "battery run must produce verdicts");
-    for threads in [1usize, 2, 4] {
-        for shards in [1usize, 2, 4] {
-            if (threads, shards) == (1, 1) {
-                continue;
-            }
-            let at = format!("threads={threads} shards={shards}");
-            let (v, r, thr) = trace(threads, shards);
-            assert_eq!(base_v.len(), v.len(), "verdict count at {at}");
-            for (i, (a, b)) in base_v.iter().zip(v.iter()).enumerate() {
-                assert_eq!(a.stream, b.stream, "verdict #{i} stream at {at}");
-                assert_eq!(a.verdict.t, b.verdict.t, "verdict #{i} t at {at}");
-                assert_eq!(
-                    a.verdict.score.to_bits(),
-                    b.verdict.score.to_bits(),
-                    "verdict #{i} score bits at {at}"
-                );
-                assert_eq!(a, b, "verdict #{i} differs at {at}");
-            }
-            assert_eq!(base_r, r, "rejection trace at {at}");
-            assert_eq!(base_thr.to_bits(), thr.to_bits(), "effective threshold at {at}");
+    for threads in [2usize, 4] {
+        let at = format!("threads={threads}");
+        let (v, r, thr) = trace(threads);
+        assert_eq!(base_v.len(), v.len(), "verdict count at {at}");
+        for (i, (a, b)) in base_v.iter().zip(v.iter()).enumerate() {
+            assert_eq!(a.stream, b.stream, "verdict #{i} stream at {at}");
+            assert_eq!(a.verdict.t, b.verdict.t, "verdict #{i} t at {at}");
+            assert_eq!(
+                a.verdict.score.to_bits(),
+                b.verdict.score.to_bits(),
+                "verdict #{i} score bits at {at}"
+            );
+            assert_eq!(a, b, "verdict #{i} differs at {at}");
         }
+        assert_eq!(base_r, r, "rejection trace at {at}");
+        assert_eq!(base_thr.to_bits(), thr.to_bits(), "effective threshold at {at}");
     }
     base_v
 }
@@ -624,7 +609,7 @@ fn shard_count_is_verdict_invariant_for_batched_multi_stream_serving() {
     // `chunk_sizes(5, 2, 16) == [3, 2]`, against the 1-thread batch-of-one
     // reference.
     let cfg = ServingConfig::new(f32::MAX, 3);
-    assert_shard_invariant(&det, &cfg, &datas, None, NO_FAULT, ALL, NO_EXTRA);
+    assert_thread_invariant(&det, &cfg, &datas, None, NO_FAULT, ALL, NO_EXTRA);
 }
 
 #[test]
@@ -641,7 +626,7 @@ fn shard_count_invariance_survives_faults_and_quarantine() {
     let fault = |sid: usize, t: usize| -> Option<Vec<f32>> {
         (sid % 2 == 1 && t >= win && t < win + 24).then(|| vec![f32::NAN])
     };
-    let got = assert_shard_invariant(&det, &cfg, &datas, None, &fault, ALL, NO_EXTRA);
+    let got = assert_thread_invariant(&det, &cfg, &datas, None, &fault, ALL, NO_EXTRA);
     assert!(
         got.iter().any(|v| v.verdict.quality == DataQuality::Degraded),
         "storm must bite for the battery to mean anything"
@@ -661,14 +646,14 @@ fn shard_count_invariance_with_frozen_calibration() {
     // At 2 lanes the four windows due per hop chunk as
     // `chunk_sizes(4, 2, 16) == [2, 2]`.
     let cfg = ServingConfig::new(f32::MAX, 2);
-    assert_shard_invariant(&det, &cfg, &datas, Some(&val), NO_FAULT, ALL, NO_EXTRA);
+    assert_thread_invariant(&det, &cfg, &datas, Some(&val), NO_FAULT, ALL, NO_EXTRA);
 }
 
 #[test]
 fn shard_count_invariance_with_adaptation_enabled() {
     // Adaptation is the most order-sensitive consumer (score-window
     // generations rotate on observation count; δ moves on recalibration),
-    // so a shard-order bug shows up here first. The final δ must match to
+    // so a merge-order bug shows up here first. The final δ must match to
     // the bit as well.
     let det = fitted();
     let win = det.cfg.win_len;
@@ -682,19 +667,10 @@ fn shard_count_invariance_with_adaptation_enabled() {
     ad.recalibrate_every = 32;
     ad.window = 128;
     cfg.adaptation = ad;
-    let (_, _, thr) = sharded_trace(
-        replicate(&det),
-        cfg.clone(),
-        1,
-        1,
-        &datas,
-        None,
-        NO_FAULT,
-        ALL,
-        NO_EXTRA,
-    );
+    let (_, _, thr) =
+        serve_trace(replicate(&det), cfg.clone(), &datas, None, NO_FAULT, ALL, NO_EXTRA);
     assert!(thr < 1000.0, "run must actually recalibrate for this test to bite");
-    assert_shard_invariant(&det, &cfg, &datas, None, NO_FAULT, ALL, NO_EXTRA);
+    assert_thread_invariant(&det, &cfg, &datas, None, NO_FAULT, ALL, NO_EXTRA);
 }
 
 #[test]
@@ -706,7 +682,7 @@ fn shard_count_invariance_with_patch_tokens() {
     // At 2 lanes the four windows due per hop chunk as
     // `chunk_sizes(4, 2, 16) == [2, 2]`.
     let cfg = ServingConfig::new(f32::MAX, 3);
-    assert_shard_invariant(&det, &cfg, &datas, None, NO_FAULT, ALL, NO_EXTRA);
+    assert_thread_invariant(&det, &cfg, &datas, None, NO_FAULT, ALL, NO_EXTRA);
 }
 
 #[test]
@@ -719,7 +695,7 @@ fn shard_count_invariance_with_quantized_precision() {
     // `chunk_sizes(4, 2, 16) == [2, 2]`.
     let mut cfg = ServingConfig::new(f32::MAX, 3);
     cfg.precision = Precision::Bf16;
-    assert_shard_invariant(&det, &cfg, &datas, None, NO_FAULT, ALL, NO_EXTRA);
+    assert_thread_invariant(&det, &cfg, &datas, None, NO_FAULT, ALL, NO_EXTRA);
 }
 
 #[test]
@@ -727,7 +703,7 @@ fn interleaved_ingest_ordering_is_deterministic_across_shard_counts() {
     // Irregular multi-stream interleave: streams drop in and out per tick
     // (so hops complete on different ticks per stream) and every third tick
     // carries a row for an unregistered id. The verdict trace AND the typed
-    // rejection trace must be identical at every shard count.
+    // rejection trace must be identical at every thread count.
     let det = fitted();
     let win = det.cfg.win_len;
     let dims = 1usize;
@@ -744,18 +720,78 @@ fn interleaved_ingest_ordering_is_deterministic_across_shard_counts() {
             Vec::new()
         }
     };
-    let (base_v, base_r, _) = sharded_trace(
-        replicate(&det),
-        cfg.clone(),
-        1,
-        1,
-        &datas,
-        None,
-        NO_FAULT,
-        &include,
-        &extra,
-    );
+    let (base_v, base_r, _) =
+        serve_trace(replicate(&det), cfg.clone(), &datas, None, NO_FAULT, &include, &extra);
     assert!(!base_v.is_empty());
     assert!(!base_r.is_empty(), "unknown-id rows must be rejected, not dropped");
-    assert_shard_invariant(&det, &cfg, &datas, None, NO_FAULT, &include, &extra);
+    assert_thread_invariant(&det, &cfg, &datas, None, NO_FAULT, &include, &extra);
+}
+
+#[test]
+fn thread_invariance_holds_when_tick_ingest_fans_out() {
+    // The rest of the battery's ticks are far below the engine's ingest
+    // work gate, so they ingest inline at any thread count. Here 64 streams
+    // of a 38-channel model put every tick at 64 × 38 × 17 = 41,344
+    // sliding-DFT bin updates, past the gate: the per-stream ingest tasks
+    // fan out at threads 2 and 4. Rows arrive in a scrambled stream order
+    // with an unknown id among them, and a NaN storm quarantines every
+    // third stream, whose verdicts come from ingest in input-row order.
+    let dims = 38;
+    let wide = |len: usize, seed: u64| {
+        let chans: Vec<Vec<f32>> =
+            (0..dims).map(|n| series(len, seed * 64 + n as u64).channel(0)).collect();
+        TimeSeries::from_channels(&chans)
+    };
+    let train = wide(256, 1);
+    let mut det = TfmaeDetector::new(TfmaeConfig { epochs: 1, ..TfmaeConfig::tiny() });
+    det.fit(&train, &train);
+    let win = det.cfg.win_len;
+    let datas: Vec<TimeSeries> = (0..64).map(|sid| wide(win * 2, 500 + sid as u64)).collect();
+    let cfg = ServingConfig::new(f32::MAX, win / 2);
+
+    // The first tick stages no window, so any parallel task it records is
+    // the ingest fan-out: this sizing must clear the gate.
+    let mut probe = replicate(&det);
+    probe.set_executor(Arc::new(Executor::with_threads(2)));
+    let mut eng = ServingEngine::new(probe, cfg.clone());
+    let rows: Vec<(usize, &[f32])> = datas.iter().map(|d| (eng.add_stream(), d.row(0))).collect();
+    assert!(eng.tick(&rows).verdicts.is_empty());
+    assert_eq!(eng.exec_stats().parallel_tasks, 1, "ticks of this battery case must fan out");
+
+    // Stream ids equal slots on a fresh engine; 37 is coprime to 64, so
+    // this visits every stream once, out of slot order.
+    let order: Vec<usize> = (0..64).map(|i| i * 37 % 64).collect();
+    let storm = |sid: usize, t: usize| {
+        sid.is_multiple_of(3) && (win / 2..win / 2 + 20).contains(&t)
+    };
+    let scrambled = |t: usize| -> Vec<(usize, Vec<f32>)> {
+        let mut rows: Vec<(usize, Vec<f32>)> = order
+            .iter()
+            .map(|&sid| {
+                let row = datas[sid].row(t);
+                (sid, if storm(sid, t) { vec![f32::NAN; dims] } else { row.to_vec() })
+            })
+            .collect();
+        rows.insert(32, (999, vec![0.5f32; dims]));
+        rows
+    };
+    let none = |_: usize, _: usize| false;
+    let got = assert_thread_invariant(&det, &cfg, &datas, None, NO_FAULT, &none, &scrambled);
+    // Storm streams quarantine at their 16th bad row and stage no window
+    // before it, so every `Degraded` verdict is an ingest-time one.
+    let quarantined: Vec<usize> =
+        order.iter().copied().filter(|&sid| sid.is_multiple_of(3)).collect();
+    let mut ticks = 0;
+    for t in 0..win * 2 {
+        let at_t: Vec<usize> = got
+            .iter()
+            .filter(|v| v.verdict.t == t as u64 && v.verdict.quality == DataQuality::Degraded)
+            .map(|v| v.stream)
+            .collect();
+        if !at_t.is_empty() {
+            assert_eq!(at_t, quarantined, "quarantine verdicts at t={t} must follow input order");
+            ticks += 1;
+        }
+    }
+    assert!(ticks > 0, "storm must quarantine for the case to mean anything");
 }

@@ -22,6 +22,7 @@
 //! assert_eq!(bench.test_labels.len(), bench.test.len());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod anomaly;

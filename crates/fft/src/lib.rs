@@ -23,6 +23,7 @@
 //! assert!((fast[42] - slow[42]).abs() < 1e-6);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod complex;

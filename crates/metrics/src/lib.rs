@@ -19,6 +19,7 @@
 //! assert_eq!(prf.f1, 100.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adjust;

@@ -26,6 +26,7 @@
 //! opt.step(&mut ps);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adam;

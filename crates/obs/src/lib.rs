@@ -31,6 +31,7 @@
 //! # flush_batch(3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;

@@ -162,7 +162,7 @@ impl Registry {
 ///
 /// The registry keys instruments by `&'static str` so the cached call-site
 /// handles ([`LazyCounter`] etc.) stay allocation-free, but labeled metrics
-/// — `serve.shard<k>.rows`, `server.tenant.<model>.requests` — only know
+/// — `serve.lane<k>.chunks`, `server.tenant.<model>.requests` — only know
 /// their names at runtime. Interning bounds the inherent leak to **one**
 /// allocation per distinct name process-wide, however many engines,
 /// tenants, or servers are constructed; re-interning an already-known name

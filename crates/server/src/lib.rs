@@ -76,8 +76,6 @@ pub struct ServerConfig {
     pub listen: String,
     /// Model registry directory (must exist; scanned per listing).
     pub registry: PathBuf,
-    /// Engine shards per loaded model (≥ 1).
-    pub shards: usize,
     /// HTTP worker threads (≥ 1).
     pub workers: usize,
     /// Per-stream admission budget: queued + in-flight + unpolled verdicts
@@ -92,13 +90,12 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: 1 shard, 4 workers, 1024-row stream budget, 1 MiB bodies,
+    /// Defaults: 4 workers, 1024-row stream budget, 1 MiB bodies,
     /// engine-chosen batching, 5 s drain grace.
     pub fn new(listen: impl Into<String>, registry: impl Into<PathBuf>) -> Self {
         Self {
             listen: listen.into(),
             registry: registry.into(),
-            shards: 1,
             workers: 4,
             queue_cap: 1024,
             max_body: 1 << 20,
@@ -107,12 +104,11 @@ impl ServerConfig {
     }
 
     /// Rejects settings the server cannot run with, naming the `tfmae
-    /// server` flag: `shards`, `workers` and `queue_cap` must be at least 1,
+    /// server` flag: `workers` and `queue_cap` must be at least 1,
     /// and `max_body` at least 1024 bytes. [`Server::start`] calls this
     /// before binding.
     pub fn validate(&self) -> Result<(), String> {
         for (flag, value, min) in [
-            ("--shards", self.shards, 1),
             ("--workers", self.workers, 1),
             ("--queue-cap", self.queue_cap, 1),
             ("--max-body", self.max_body, 1024),
@@ -629,7 +625,6 @@ fn load_model(inner: &Arc<Inner>, name: &str, req: &Request) -> Response {
     det.set_executor(inner.exec.clone());
     let mut serving = ServingConfig::new(threshold, hop);
     serving.precision = stored_precision.unwrap_or(serving.precision);
-    serving.shards = inner.cfg.shards;
     let rt = Arc::new(ModelRt::new(
         name.to_string(),
         det,
@@ -655,14 +650,13 @@ fn load_model(inner: &Arc<Inner>, name: &str, req: &Request) -> Response {
     Response::json(
         200,
         format!(
-            "{{\"model\":\"{}\",\"win_len\":{},\"dims\":{},\"hop\":{},\"threshold\":{},\"precision\":\"{}\",\"shards\":{}}}\n",
+            "{{\"model\":\"{}\",\"win_len\":{},\"dims\":{},\"hop\":{},\"threshold\":{},\"precision\":\"{}\"}}\n",
             json_escape(name),
             rt.win_len,
             rt.dims,
             rt.hop,
             rt.threshold,
             rt.precision,
-            inner.cfg.shards,
         ),
     )
 }
@@ -858,7 +852,6 @@ mod tests {
     #[test]
     fn config_defaults() {
         let cfg = ServerConfig::new("127.0.0.1:0", "/tmp/reg");
-        assert_eq!(cfg.shards, 1);
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.queue_cap, 1024);
         assert_eq!(cfg.max_body, 1 << 20);
@@ -874,7 +867,6 @@ mod tests {
     fn start_rejects_out_of_range_config_before_binding() {
         let base = ServerConfig::new("127.0.0.1:0", std::env::temp_dir());
         let cases = [
-            (ServerConfig { shards: 0, ..base.clone() }, "--shards must be >= 1"),
             (ServerConfig { workers: 0, ..base.clone() }, "--workers must be >= 1"),
             (ServerConfig { queue_cap: 0, ..base.clone() }, "--queue-cap must be >= 1"),
             (ServerConfig { max_body: 1023, ..base.clone() }, "--max-body must be >= 1024"),

@@ -30,8 +30,8 @@ use tfmae_obs::{Counter, Gauge, Instrument, Registry};
 /// Environment variable overriding the worker-pool size.
 pub const THREADS_ENV: &str = "TFMAE_THREADS";
 
-/// Minimum total task work (multiply-adds) before
-/// [`Executor::parallel_for_flops`] fans a kernel out to the worker pool.
+/// Minimum total task work (multiply-adds) before a kernel fans out to the
+/// worker pool ([`gated_min_chunk`]).
 /// The original 256 Ki gate still let small shapes overshard —
 /// bmm_8x64x64x64 (2 Mi flops) recorded 0.78× and train_epoch_tiny 0.65× at
 /// 4 threads — so the gate sits at 4 Mi: below it the wake/shard round-trip
@@ -363,20 +363,44 @@ impl Executor {
         assert!(!job.panicked.load(Ordering::SeqCst), "executor worker panicked during parallel_for");
     }
 
-    /// [`parallel_for`](Self::parallel_for) gated by *total* task work:
-    /// below [`MIN_PAR_FLOPS`] multiply-adds the task runs inline on the
-    /// caller (still counted in `tasks_dispatched`, never in
-    /// `parallel_tasks`), so tiny matmuls/bmm never pay shard-and-wake
-    /// overhead that exceeds the compute itself.
-    pub fn parallel_for_flops(
+    /// [`parallel_for`](Self::parallel_for) over `K` buffers that each hold
+    /// `n` equal groups of items (`buf.len() / n` items per group): every
+    /// call `f(start, end, parts)` gets, per buffer, the `&mut` slice of
+    /// groups `[start, end)`. The chunks partition `0..n`, so no two calls'
+    /// slices overlap. This is the one place a `parallel_for` chunk becomes
+    /// disjoint `&mut` data: row-sharded kernels split output rows through
+    /// it, the serving engine its per-stream ingest tasks.
+    ///
+    /// # Panics
+    /// If a buffer's length is not a multiple of `n`, or as
+    /// [`parallel_for`](Self::parallel_for).
+    pub fn parallel_for_mut<T: Send, const K: usize>(
         &self,
         n: usize,
         min_per_chunk: usize,
-        total_flops: usize,
-        f: &(dyn Fn(usize, usize) + Sync),
+        bufs: [&mut [T]; K],
+        f: &ChunkMutFn<'_, T, K>,
     ) {
-        let min = if total_flops < MIN_PAR_FLOPS { n.max(1) } else { min_per_chunk };
-        self.parallel_for(n, min, f);
+        if n == 0 {
+            return;
+        }
+        let parts = bufs.map(|b| {
+            let len = b.len();
+            assert!(len % n == 0, "parallel_for_mut: {len} items do not split into {n} groups");
+            (SendPtr(b.as_mut_ptr()), len / n)
+        });
+        self.parallel_for(n, min_per_chunk, &|s, e| {
+            let slices = std::array::from_fn(|i| {
+                let (p, width) = &parts[i];
+                // SAFETY: `parallel_for` hands each call a disjoint range
+                // `[s, e)` of `0..n` and blocks until every chunk returned.
+                // Buffer `i` holds `n` groups of `width` items and stays
+                // mutably borrowed for this whole call, so groups `[s, e)`
+                // lie inside it and no other live slice covers them.
+                unsafe { std::slice::from_raw_parts_mut(p.0.add(s * width), (e - s) * width) }
+            });
+            f(s, e, slices);
+        });
     }
 
     // -------------------------------------------------------------- buffers
@@ -489,23 +513,35 @@ impl Drop for Executor {
     }
 }
 
-/// A `Send + Sync` raw pointer used to hand workers *disjoint* `&mut` row
-/// ranges of one output buffer. Soundness is the caller's obligation: the
-/// ranges derived from `parallel_for` chunks must never overlap.
-#[derive(Clone, Copy)]
-pub(crate) struct SendPtr(pub *mut f32);
-
-// SAFETY: the pointer is only ever used to reconstruct slices over disjoint
-// index ranges, one range per worker, while the caller keeps the underlying
-// buffer alive (it blocks in `parallel_for` until all chunks finish).
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    pub(crate) fn get(self) -> *mut f32 {
-        self.0
+/// The `min_per_chunk` that gates a task of `n` items on its total `work`:
+/// below `gate` every item lands in one chunk, so the task runs inline on
+/// the caller (still counted in `tasks_dispatched`, never in
+/// `parallel_tasks`); at or above it, chunks of `min_per_chunk`. Kernels
+/// gate on [`MIN_PAR_FLOPS`], so tiny matmuls never pay a wake-up that
+/// costs more than their arithmetic; the serving engine gates a tick's
+/// ingest on its own constant.
+pub fn gated_min_chunk(n: usize, min_per_chunk: usize, work: usize, gate: usize) -> usize {
+    if work < gate {
+        n.max(1)
+    } else {
+        min_per_chunk
     }
 }
+
+/// The body [`Executor::parallel_for_mut`] runs per chunk:
+/// `(start, end, parts)`, one `&mut` part per buffer.
+type ChunkMutFn<'f, T, const K: usize> = dyn Fn(usize, usize, [&mut [T]; K]) + Sync + 'f;
+
+/// The base pointer of one buffer [`Executor::parallel_for_mut`] splits
+/// into disjoint per-chunk slices.
+struct SendPtr<T>(*mut T);
+
+// SAFETY: workers only rebuild slices over disjoint groups of the buffer
+// (see `parallel_for_mut`), so sharing the pointer hands each thread `&mut`
+// access to items no other thread touches — sound whenever `&mut T` may
+// cross threads, i.e. `T: Send`.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -600,18 +636,15 @@ mod tests {
         for threads in [1, 2, 4] {
             let ex = Executor::with_threads(threads);
             let n = 1000;
-            let mut out = vec![0.0f32; n];
-            let p = SendPtr(out.as_mut_ptr());
-            ex.parallel_for(n, 1, &|s, e| {
-                // SAFETY: chunks [s, e) are disjoint ranges of `0..n`, and
-                // `out` outlives the blocking call.
-                let dst = unsafe { std::slice::from_raw_parts_mut(p.get().add(s), e - s) };
-                for (i, slot) in dst.iter_mut().enumerate() {
-                    *slot += (s + i) as f32;
+            let mut rows = vec![0.0f32; n * 3];
+            ex.parallel_for_mut(n, 1, [&mut rows[..]], &|s, e, [part]| {
+                assert_eq!(part.len(), (e - s) * 3);
+                for (i, slot) in part.iter_mut().enumerate() {
+                    *slot += (s * 3 + i) as f32;
                 }
             });
-            let want: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            assert_eq!(out, want, "threads={threads}");
+            let want: Vec<f32> = (0..n * 3).map(|i| i as f32).collect();
+            assert_eq!(rows, want, "threads={threads}");
         }
     }
 
@@ -632,15 +665,16 @@ mod tests {
     #[test]
     fn flops_gate_runs_small_tasks_inline() {
         let ex = Executor::with_threads(4);
+        let gated = |flops| gated_min_chunk(1000, 1, flops, MIN_PAR_FLOPS);
         // Plenty of rows and a tiny min chunk, but total work below the
         // flop gate: must run inline as a single chunk.
-        ex.parallel_for_flops(1000, 1, MIN_PAR_FLOPS - 1, &|s, e| {
+        ex.parallel_for(1000, gated(MIN_PAR_FLOPS - 1), &|s, e| {
             assert_eq!((s, e), (0, 1000));
         });
         let st = ex.stats();
         assert_eq!((st.tasks_dispatched, st.parallel_tasks), (1, 0));
         // At or above the gate the same shape fans out.
-        ex.parallel_for_flops(1000, 1, MIN_PAR_FLOPS, &|_, _| {});
+        ex.parallel_for(1000, gated(MIN_PAR_FLOPS), &|_, _| {});
         let st = ex.stats();
         assert_eq!((st.tasks_dispatched, st.parallel_tasks), (2, 1));
     }

@@ -30,7 +30,7 @@ use std::cell::RefCell;
 
 use tfmae_obs::LazyCounter;
 
-use crate::exec::{Executor, SendPtr};
+use crate::exec::{gated_min_chunk, Executor, MIN_PAR_FLOPS};
 use crate::quant::{bf16_to_f32, QuantData};
 
 /// Minimum per-chunk work (inner-loop iterations) before a kernel fans out;
@@ -48,26 +48,12 @@ fn min_rows(per_row_work: usize) -> usize {
     (MIN_PAR_WORK / per_row_work.max(1)).max(1)
 }
 
-/// Reconstructs the disjoint `&mut` row range `[r0, r1)` of an output
-/// buffer with `width` elements per row.
-///
-/// # Safety
-/// Caller must guarantee ranges handed to concurrent workers are disjoint
-/// and the underlying buffer outlives the call (both hold for
-/// `Executor::parallel_for` chunks over one output buffer).
-unsafe fn rows_mut<'a>(p: SendPtr, r0: usize, r1: usize, width: usize) -> &'a mut [f32] {
-    // SAFETY: the caller guarantees rows `[r0, r1)` lie inside the live
-    // buffer behind `p` and that no other live slice covers them.
-    std::slice::from_raw_parts_mut(p.get().add(r0 * width), (r1 - r0) * width)
-}
-
 /// Runs `f(r0, r1, rows)` over a partition of the first `n_rows` rows
 /// (`width` elements each) of `out`, handing each call the `&mut` slice of
 /// its own rows `[r0, r1)` — the row-sharded dispatch every one-output
 /// parallel kernel uses. Chunks hold at least `min_rows` rows, and the task
-/// runs inline below `flops` total multiply-adds
-/// ([`Executor::parallel_for_flops`]; `usize::MAX` gates on `min_rows`
-/// alone, for memory-bound kernels).
+/// runs inline below `flops` total multiply-adds ([`MIN_PAR_FLOPS`];
+/// `usize::MAX` gates on `min_rows` alone, for memory-bound kernels).
 pub(crate) fn par_rows(
     exec: &Executor,
     out: &mut [f32],
@@ -82,13 +68,9 @@ pub(crate) fn par_rows(
         "par_rows: {n_rows} rows of {width} overrun a buffer of {}",
         out.len()
     );
-    let p = SendPtr(out.as_mut_ptr());
-    exec.parallel_for_flops(n_rows, min_rows, flops, &|r0, r1| {
-        // SAFETY: `parallel_for` hands each call a disjoint range `[r0, r1)`
-        // of `0..n_rows`, the assert above keeps those rows inside `out`,
-        // and `out` stays mutably borrowed until every chunk has returned.
-        let rows = unsafe { rows_mut(p, r0, r1, width) };
-        f(r0, r1, rows);
+    let min = gated_min_chunk(n_rows, min_rows, flops, MIN_PAR_FLOPS);
+    exec.parallel_for_mut(n_rows, min, [&mut out[..n_rows * width]], &|r0, r1, [rows]| {
+        f(r0, r1, rows)
     });
 }
 
@@ -1340,18 +1322,9 @@ pub fn par_attention_backward(
     assert_eq!(dq.len(), bsz * tq * d);
     assert_eq!(dk.len(), bsz * tk * d);
     assert_eq!(dv.len(), bsz * tk * d);
-    let pq = SendPtr(dq.as_mut_ptr());
-    let pk = SendPtr(dk.as_mut_ptr());
-    let pv = SendPtr(dv.as_mut_ptr());
     let per_batch = 6 * tq * tk * d;
-    exec.parallel_for_flops(bsz, min_rows(per_batch), bsz * per_batch, &|b0, b1| {
-        // SAFETY: `parallel_for_flops` hands each call a disjoint batch range
-        // [b0, b1), and each of dq/dk/dv holds `bsz` batches (asserted
-        // above); the call blocks until every chunk returns, so the three
-        // buffers outlive these slices and no two chunks alias.
-        let dq_rows = unsafe { rows_mut(pq, b0, b1, tq * d) };
-        let dk_rows = unsafe { rows_mut(pk, b0, b1, tk * d) };
-        let dv_rows = unsafe { rows_mut(pv, b0, b1, tk * d) };
+    let min = gated_min_chunk(bsz, min_rows(per_batch), bsz * per_batch, MIN_PAR_FLOPS);
+    exec.parallel_for_mut(bsz, min, [dq, dk, dv], &|b0, b1, [dq_rows, dk_rows, dv_rows]| {
         ATTN_SCRATCH.with(|cell| {
             attention_backward_batches(
                 q,

@@ -40,7 +40,7 @@ pub mod shape;
 pub mod store;
 
 pub use backward::Gradients;
-pub use exec::{ExecStats, Executor, THREADS_ENV};
+pub use exec::{gated_min_chunk, ExecStats, Executor, THREADS_ENV};
 pub use graph::{Graph, Var, LN_EPS};
 pub use kernels::{kernel_isa, ActKind};
 pub use quant::{bf16_to_f32, f32_to_bf16, Precision, QuantData, QuantParam, QuantStore};

@@ -14,6 +14,7 @@
 //! assert!(prf.f1 >= 0.0 && prf.f1 <= 100.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use tfmae_baselines as baselines;
