@@ -57,8 +57,8 @@ pub use config::{AdversarialMode, FreqMaskKind, TemporalMaskKind, TfmaeConfig};
 pub use detector::TfmaeDetector;
 pub use masking::frequency::{frequency_mask, frequency_mask_from_spectra, FrequencyMaskData};
 pub use masking::temporal::{
-    cv_statistic, fold_stat_to_patches, temporal_mask, temporal_mask_from_stat,
-    temporal_mask_patched, TemporalMask,
+    fold_stat_to_patches, temporal_mask_from_stat, temporal_mask_patched, temporal_statistic,
+    TemporalMask,
 };
 pub use model::{combine_scores, BatchInputs, BranchOutputs, TfmaeModel};
 pub use robust::TrainReport;

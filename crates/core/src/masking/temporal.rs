@@ -9,7 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use tfmae_fft::stats::{multivariate_cv, sliding_var_fft, sliding_var_naive, top_k_indices};
+use tfmae_fft::stats::{
+    sliding_cv_fft, sliding_cv_naive, sliding_var_fft, sliding_var_naive, top_k_indices,
+};
 
 use crate::config::TemporalMaskKind;
 
@@ -23,49 +25,8 @@ pub struct TemporalMask {
     pub unmasked: Vec<usize>,
 }
 
-/// Computes the temporal mask for one window.
-///
-/// * `values` — row-major `[win_len, dims]` window;
-/// * `i_t` — number of indices to mask (`I_T` of Eq. 2);
-/// * `cv_window` — trailing-statistic window `W`;
-/// * `use_fft` — Eq. 5 fast path vs Eq. 1 loops (`w/o FFT` ablation);
-/// * `rng` — consumed only by [`TemporalMaskKind::Random`].
-pub fn temporal_mask(
-    values: &[f32],
-    win_len: usize,
-    dims: usize,
-    i_t: usize,
-    cv_window: usize,
-    kind: TemporalMaskKind,
-    use_fft: bool,
-    rng: &mut StdRng,
-) -> TemporalMask {
-    assert_eq!(values.len(), win_len * dims, "window size mismatch");
-    let i_t = i_t.min(win_len.saturating_sub(1));
-    if i_t == 0 || kind == TemporalMaskKind::None {
-        return TemporalMask { masked: Vec::new(), unmasked: (0..win_len).collect() };
-    }
-
-    match kind {
-        TemporalMaskKind::Cv => {
-            let stat = cv_statistic(values, win_len, dims, cv_window, use_fft);
-            temporal_mask_from_stat(&stat, i_t)
-        }
-        TemporalMaskKind::Std => {
-            let stat = std_statistic(values, win_len, dims, cv_window, use_fft);
-            temporal_mask_from_stat(&stat, i_t)
-        }
-        TemporalMaskKind::Random => {
-            let mut idx: Vec<usize> = (0..win_len).collect();
-            idx.shuffle(rng);
-            partition(win_len, sorted(idx[..i_t].to_vec()))
-        }
-        TemporalMaskKind::None => unreachable!(),
-    }
-}
-
-/// The selection half of [`temporal_mask`]: masks the `i_t` indices with the
-/// largest statistic (deterministic tie-break of `top_k_indices`).
+/// The selection half of [`temporal_mask_patched`]: masks the `i_t` indices
+/// with the largest statistic (deterministic tie-break of `top_k_indices`).
 ///
 /// Split out so streaming callers can supply an incrementally maintained
 /// statistic (rolling CV over a ring buffer) instead of recomputing Eq. 1/5
@@ -73,9 +34,6 @@ pub fn temporal_mask(
 pub fn temporal_mask_from_stat(stat: &[f64], i_t: usize) -> TemporalMask {
     let win_len = stat.len();
     let i_t = i_t.min(win_len.saturating_sub(1));
-    if i_t == 0 {
-        return TemporalMask { masked: Vec::new(), unmasked: (0..win_len).collect() };
-    }
     partition(win_len, sorted(top_k_indices(stat, i_t)))
 }
 
@@ -106,11 +64,16 @@ pub fn fold_stat_to_patches(stat: &[f64], patch_len: usize) -> Vec<f64> {
     stat.chunks_exact(patch_len).map(|chunk| chunk.iter().sum()).collect()
 }
 
-/// [`temporal_mask`] at patch-token granularity: the returned index sets
-/// partition the `win_len / patch_len` *tokens*, masking the `i_tok`
-/// highest-statistic ones. Delegates to the legacy row-level path at
-/// `patch_len = 1` (same RNG consumption for [`TemporalMaskKind::Random`],
-/// bitwise-identical selection for Cv/Std — test-asserted).
+/// Computes the temporal mask for one window at patch-token granularity: the
+/// returned index sets partition the `win_len / patch_len` tokens, masking
+/// the `i_tok` tokens with the largest summed statistic. At `patch_len = 1`
+/// every row is a token.
+///
+/// * `values` — row-major `[win_len, dims]` window;
+/// * `i_tok` — number of tokens to mask (`I_T` of Eq. 2);
+/// * `cv_window` — trailing-statistic window `W`;
+/// * `use_fft` — Eq. 5 fast path vs Eq. 1 loops (`w/o FFT` ablation);
+/// * `rng` — consumed only by [`TemporalMaskKind::Random`].
 #[allow(clippy::too_many_arguments)]
 pub fn temporal_mask_patched(
     values: &[f32],
@@ -123,23 +86,15 @@ pub fn temporal_mask_patched(
     use_fft: bool,
     rng: &mut StdRng,
 ) -> TemporalMask {
-    if patch_len == 1 {
-        return temporal_mask(values, win_len, dims, i_tok, cv_window, kind, use_fft, rng);
-    }
     assert_eq!(values.len(), win_len * dims, "window size mismatch");
     assert_eq!(win_len % patch_len, 0, "patch_len must divide win_len");
     let tokens = win_len / patch_len;
     let i_tok = i_tok.min(tokens.saturating_sub(1));
-    if i_tok == 0 || kind == TemporalMaskKind::None {
-        return TemporalMask { masked: Vec::new(), unmasked: (0..tokens).collect() };
-    }
     match kind {
-        TemporalMaskKind::Cv => {
-            let stat = cv_statistic(values, win_len, dims, cv_window, use_fft);
-            temporal_mask_from_stat(&fold_stat_to_patches(&stat, patch_len), i_tok)
-        }
-        TemporalMaskKind::Std => {
-            let stat = std_statistic(values, win_len, dims, cv_window, use_fft);
+        TemporalMaskKind::None => partition(tokens, Vec::new()),
+        _ if i_tok == 0 => partition(tokens, Vec::new()),
+        TemporalMaskKind::Cv | TemporalMaskKind::Std => {
+            let stat = temporal_statistic(values, win_len, dims, cv_window, kind, use_fft);
             temporal_mask_from_stat(&fold_stat_to_patches(&stat, patch_len), i_tok)
         }
         TemporalMaskKind::Random => {
@@ -147,44 +102,42 @@ pub fn temporal_mask_patched(
             idx.shuffle(rng);
             partition(tokens, sorted(idx[..i_tok].to_vec()))
         }
-        TemporalMaskKind::None => unreachable!(),
     }
 }
 
-/// The summed per-feature coefficient of variation `V ∈ R^{win_len}` of
-/// Eq. 1/5.
-pub fn cv_statistic(
+/// The per-row statistic `V ∈ R^{win_len}` that [`TemporalMaskKind::Cv`]
+/// and [`TemporalMaskKind::Std`] rank: the sum over channels of each
+/// channel's trailing coefficient of variation (Eq. 1/5), or of its trailing
+/// standard deviation (`w/ SMT`).
+///
+/// # Panics
+/// Panics for the kinds that rank no statistic (`Random`, `None`).
+pub fn temporal_statistic(
     values: &[f32],
     win_len: usize,
     dims: usize,
     cv_window: usize,
+    kind: TemporalMaskKind,
     use_fft: bool,
 ) -> Vec<f64> {
-    let channels: Vec<Vec<f64>> = (0..dims)
-        .map(|n| (0..win_len).map(|t| values[t * dims + n] as f64).collect())
-        .collect();
-    let refs: Vec<&[f64]> = channels.iter().map(|c| c.as_slice()).collect();
-    multivariate_cv(&refs, cv_window, use_fft)
-}
-
-/// The `w/ SMT` variant: summed per-feature trailing standard deviation.
-pub fn std_statistic(
-    values: &[f32],
-    win_len: usize,
-    dims: usize,
-    cv_window: usize,
-    use_fft: bool,
-) -> Vec<f64> {
+    let per_channel: fn(&[f64], usize) -> Vec<f64> = match (kind, use_fft) {
+        (TemporalMaskKind::Cv, true) => sliding_cv_fft,
+        (TemporalMaskKind::Cv, false) => sliding_cv_naive,
+        (TemporalMaskKind::Std, true) => sliding_var_fft,
+        (TemporalMaskKind::Std, false) => sliding_var_naive,
+        (TemporalMaskKind::Random | TemporalMaskKind::None, _) => {
+            panic!("{kind:?} temporal masking ranks no statistic")
+        }
+    };
+    let is_std = kind == TemporalMaskKind::Std;
     let mut total = vec![0.0f64; win_len];
+    let mut ch = vec![0.0f64; win_len];
     for n in 0..dims {
-        let ch: Vec<f64> = (0..win_len).map(|t| values[t * dims + n] as f64).collect();
-        let var = if use_fft {
-            sliding_var_fft(&ch, cv_window)
-        } else {
-            sliding_var_naive(&ch, cv_window)
-        };
-        for (acc, v) in total.iter_mut().zip(var.iter()) {
-            *acc += v.max(0.0).sqrt();
+        for (t, c) in ch.iter_mut().enumerate() {
+            *c = values[t * dims + n] as f64;
+        }
+        for (acc, v) in total.iter_mut().zip(per_channel(&ch, cv_window)) {
+            *acc += if is_std { v.max(0.0).sqrt() } else { v };
         }
     }
     total
@@ -193,7 +146,7 @@ pub fn std_statistic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0)
@@ -210,7 +163,7 @@ mod tests {
     fn cv_mask_targets_the_spike() {
         let len = 64;
         let vals = window_with_spike(len, 30);
-        let m = temporal_mask(&vals, len, 1, 8, 10, TemporalMaskKind::Cv, true, &mut rng());
+        let m = temporal_mask_patched(&vals, len, 1, 1, 8, 10, TemporalMaskKind::Cv, true, &mut rng());
         // Trailing windows containing the spike are t = 30..40; all masked
         // indices must fall in that band.
         assert!(
@@ -226,8 +179,8 @@ mod tests {
     fn fft_and_loop_paths_select_same_indices() {
         let len = 100;
         let vals: Vec<f32> = (0..len).map(|t| (t as f32 * 0.17).sin() + 0.01 * t as f32).collect();
-        let a = temporal_mask(&vals, len, 1, 25, 10, TemporalMaskKind::Cv, true, &mut rng());
-        let b = temporal_mask(&vals, len, 1, 25, 10, TemporalMaskKind::Cv, false, &mut rng());
+        let a = temporal_mask_patched(&vals, len, 1, 1, 25, 10, TemporalMaskKind::Cv, true, &mut rng());
+        let b = temporal_mask_patched(&vals, len, 1, 1, 25, 10, TemporalMaskKind::Cv, false, &mut rng());
         assert_eq!(a, b);
     }
 
@@ -236,7 +189,7 @@ mod tests {
         let len = 50;
         let vals = window_with_spike(len, 10);
         for kind in [TemporalMaskKind::Cv, TemporalMaskKind::Std, TemporalMaskKind::Random] {
-            let m = temporal_mask(&vals, len, 1, 12, 10, kind, true, &mut rng());
+            let m = temporal_mask_patched(&vals, len, 1, 1, 12, 10, kind, true, &mut rng());
             let mut all: Vec<usize> = m.masked.iter().chain(m.unmasked.iter()).copied().collect();
             all.sort_unstable();
             assert_eq!(all, (0..len).collect::<Vec<_>>(), "{kind:?}");
@@ -246,9 +199,9 @@ mod tests {
     #[test]
     fn none_and_zero_count_disable_masking() {
         let vals = window_with_spike(20, 5);
-        let m = temporal_mask(&vals, 20, 1, 0, 10, TemporalMaskKind::Cv, true, &mut rng());
+        let m = temporal_mask_patched(&vals, 20, 1, 1, 0, 10, TemporalMaskKind::Cv, true, &mut rng());
         assert!(m.masked.is_empty());
-        let m = temporal_mask(&vals, 20, 1, 5, 10, TemporalMaskKind::None, true, &mut rng());
+        let m = temporal_mask_patched(&vals, 20, 1, 1, 5, 10, TemporalMaskKind::None, true, &mut rng());
         assert!(m.masked.is_empty());
         assert_eq!(m.unmasked.len(), 20);
     }
@@ -256,7 +209,7 @@ mod tests {
     #[test]
     fn mask_count_clamped_below_window_length() {
         let vals = window_with_spike(10, 3);
-        let m = temporal_mask(&vals, 10, 1, 99, 5, TemporalMaskKind::Cv, true, &mut rng());
+        let m = temporal_mask_patched(&vals, 10, 1, 1, 99, 5, TemporalMaskKind::Cv, true, &mut rng());
         assert_eq!(m.masked.len(), 9, "must leave at least one unmasked token");
     }
 
@@ -264,8 +217,8 @@ mod tests {
     fn random_masks_differ_across_draws() {
         let vals = window_with_spike(60, 7);
         let mut r = rng();
-        let a = temporal_mask(&vals, 60, 1, 15, 10, TemporalMaskKind::Random, true, &mut r);
-        let b = temporal_mask(&vals, 60, 1, 15, 10, TemporalMaskKind::Random, true, &mut r);
+        let a = temporal_mask_patched(&vals, 60, 1, 1, 15, 10, TemporalMaskKind::Random, true, &mut r);
+        let b = temporal_mask_patched(&vals, 60, 1, 1, 15, 10, TemporalMaskKind::Random, true, &mut r);
         assert_ne!(a.masked, b.masked);
     }
 
@@ -275,23 +228,64 @@ mod tests {
         let dims = 2;
         let vals: Vec<f32> =
             (0..len * dims).map(|i| (i as f32 * 0.23).sin() + 0.002 * i as f32).collect();
-        let full = temporal_mask(&vals, len, dims, 12, 10, TemporalMaskKind::Cv, true, &mut rng());
-        let stat = cv_statistic(&vals, len, dims, 10, true);
+        let full = temporal_mask_patched(&vals, len, dims, 1, 12, 10, TemporalMaskKind::Cv, true, &mut rng());
+        let stat = temporal_statistic(&vals, len, dims, 10, TemporalMaskKind::Cv, true);
         let split = temporal_mask_from_stat(&stat, 12);
         assert_eq!(full, split);
     }
 
     #[test]
     fn patched_mask_at_patch_len_one_is_bitwise_identical() {
+        // At patch_len = 1 every row is a token: Cv/Std select straight from
+        // the row statistic, and Random draws a plain shuffle of the rows.
         let len = 60;
         let dims = 2;
         let vals: Vec<f32> =
             (0..len * dims).map(|i| (i as f32 * 0.19).sin() + 0.003 * i as f32).collect();
-        for kind in [TemporalMaskKind::Cv, TemporalMaskKind::Std, TemporalMaskKind::Random] {
-            let legacy = temporal_mask(&vals, len, dims, 14, 10, kind, true, &mut rng());
-            let patched =
-                temporal_mask_patched(&vals, len, dims, 1, 14, 10, kind, true, &mut rng());
-            assert_eq!(legacy, patched, "{kind:?}");
+        for use_fft in [true, false] {
+            for kind in [TemporalMaskKind::Cv, TemporalMaskKind::Std] {
+                let stat = temporal_statistic(&vals, len, dims, 10, kind, use_fft);
+                let patched =
+                    temporal_mask_patched(&vals, len, dims, 1, 14, 10, kind, use_fft, &mut rng());
+                assert_eq!(patched, temporal_mask_from_stat(&stat, 14), "{kind:?} fft={use_fft}");
+            }
+        }
+        let mut r = rng();
+        let patched =
+            temporal_mask_patched(&vals, len, dims, 1, 14, 10, TemporalMaskKind::Random, true, &mut r);
+        let mut plain = rng();
+        let mut idx: Vec<usize> = (0..len).collect();
+        idx.shuffle(&mut plain);
+        assert_eq!(patched, partition(len, sorted(idx[..14].to_vec())));
+        assert_eq!(r.next_u64(), plain.next_u64(), "RNG left in a different state");
+    }
+
+    #[test]
+    fn temporal_statistic_matches_channel_sums_bitwise() {
+        let len = 70;
+        for dims in [1usize, 3] {
+            let vals: Vec<f32> =
+                (0..len * dims).map(|i| 1.5 + (i as f32 * 0.29).sin() + 0.01 * i as f32).collect();
+            for use_fft in [true, false] {
+                let mut cv = vec![0.0f64; len];
+                let mut sd = vec![0.0f64; len];
+                for n in 0..dims {
+                    let ch: Vec<f64> = (0..len).map(|t| vals[t * dims + n] as f64).collect();
+                    let (c, var) = if use_fft {
+                        (sliding_cv_fft(&ch, 10), sliding_var_fft(&ch, 10))
+                    } else {
+                        (sliding_cv_naive(&ch, 10), sliding_var_naive(&ch, 10))
+                    };
+                    for (t, (&c, &v)) in c.iter().zip(&var).enumerate() {
+                        cv[t] += c;
+                        sd[t] += v.max(0.0).sqrt();
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let got = |kind| bits(&temporal_statistic(&vals, len, dims, 10, kind, use_fft));
+                assert_eq!(got(TemporalMaskKind::Cv), bits(&cv), "Cv dims={dims} fft={use_fft}");
+                assert_eq!(got(TemporalMaskKind::Std), bits(&sd), "Std dims={dims} fft={use_fft}");
+            }
         }
     }
 
@@ -338,7 +332,7 @@ mod tests {
             vals[t * dims + 1] = 1.0;
         }
         vals[25 * dims + 2] = 30.0; // spike on channel 2
-        let m = temporal_mask(&vals, len, dims, 6, 10, TemporalMaskKind::Cv, true, &mut rng());
+        let m = temporal_mask_patched(&vals, len, dims, 1, 6, 10, TemporalMaskKind::Cv, true, &mut rng());
         assert!(m.masked.contains(&25));
     }
 }

@@ -28,8 +28,8 @@
 //! * **Drift refresh** — the rolling recurrences accumulate floating-point
 //!   drift, so every [`ServingConfig::refresh_every`] scored hops (and on
 //!   the first hop after warm-up or quarantine re-warm) the engine re-seeds
-//!   them from the exact batch path: `cv_statistic`/`std_statistic` for the
-//!   temporal stat and a full rfft for the spectrum. Refresh-hop verdicts
+//!   them from the exact batch path: `temporal_statistic` for the temporal
+//!   stat and a full rfft for the spectrum. Refresh-hop verdicts
 //!   are therefore *bitwise identical* to the offline masking path;
 //!   between refreshes the parity tests bound the drift at ≤ 1e-5.
 //!
@@ -96,8 +96,8 @@ use crate::config::{TemporalMaskKind, TfmaeConfig};
 use crate::detector::TfmaeDetector;
 use crate::masking::frequency::{frequency_mask_from_spectra, FrequencyMaskData};
 use crate::masking::temporal::{
-    cv_statistic, fold_stat_to_patches, std_statistic, temporal_mask_from_stat,
-    temporal_mask_patched, TemporalMask,
+    fold_stat_to_patches, temporal_mask_from_stat, temporal_mask_patched, temporal_statistic,
+    TemporalMask,
 };
 use crate::model::{combine_scores_with, component_means};
 
@@ -201,7 +201,7 @@ pub struct ServingConfig {
     pub hop: usize,
     /// Scored hops between exact re-seeds of the incremental masking state
     /// (rolling stats + sliding DFT). Lower bounds drift tighter at the
-    /// price of a full `cv_statistic` + rfft per refresh; `1` refreshes
+    /// price of a full `temporal_statistic` + rfft per refresh; `1` refreshes
     /// every hop.
     pub refresh_every: usize,
     /// When `false`, masks are recomputed from scratch each hop via the
@@ -1112,20 +1112,15 @@ fn ingest_row(
     // Sanitize: impute non-finite channels (a wrong-width row counts as
     // all-bad) and track the quarantine state machine.
     let width_ok = row.len() == dims;
-    let mut clean = vec![0.0f32; dims];
     let mut quality = DataQuality::Clean;
-    for n in 0..dims {
+    for (n, (good, stale)) in s.last_good.iter_mut().zip(&mut s.staleness).enumerate() {
         let v = if width_ok { row[n] } else { f32::NAN };
         if v.is_finite() {
-            s.last_good[n] = Some(v);
-            s.staleness[n] = 0;
-            clean[n] = v;
+            *good = Some(v);
+            *stale = 0;
         } else {
-            s.staleness[n] += 1;
-            // Impute with the last good value; a channel that has never
-            // produced one falls back to 0.0.
-            clean[n] = s.last_good[n].unwrap_or(0.0);
-            let q = if s.last_good[n].is_some() && s.staleness[n] <= STALENESS_BUDGET {
+            *stale += 1;
+            let q = if good.is_some() && *stale <= STALENESS_BUDGET {
                 DataQuality::Imputed
             } else {
                 DataQuality::Degraded
@@ -1192,22 +1187,23 @@ fn ingest_row(
         }
     }
     let slot = s.head;
-    let normed: Vec<f32> = clean
-        .iter()
-        .zip(norm.mean.iter().zip(&norm.std))
-        .map(|(&c, (&mean, &std))| (c - mean) / std)
-        .collect();
-    if incremental {
-        // Slide the spectra before the evicted sample is overwritten.
-        if s.filled == win_len && s.sdft[0].is_warm() {
-            let evicted = &s.ring[slot * dims..(slot + 1) * dims];
-            for ((sdft, &old), &new) in s.sdft.iter_mut().zip(evicted).zip(&normed) {
-                sdft.slide(old as f64, new as f64);
+    // Slide the spectra before the evicted sample is overwritten.
+    let slide = incremental && s.filled == win_len && s.sdft[0].is_warm();
+    let cells = s.ring[slot * dims..(slot + 1) * dims].iter_mut();
+    let channels = cells.zip(&s.last_good).zip(norm.mean.iter().zip(&norm.std));
+    for (n, ((cell, good), (&mean, &std))) in channels.enumerate() {
+        // The sanitized value: the sample itself, or the last good value
+        // it is imputed with (0.0 for a channel that never produced one).
+        let v = (good.unwrap_or(0.0) - mean) / std;
+        if incremental {
+            if slide {
+                s.sdft[n].slide(*cell as f64, v as f64);
             }
+            s.roll[n].push(v as f64);
         }
-        for (roll, &v) in s.roll.iter_mut().zip(&normed) {
-            roll.push(v as f64);
-        }
+        *cell = v;
+    }
+    if incremental {
         // Trailing statistic ending at this sample; meaningful once the
         // rolling window holds `cv_window` real samples, which covers
         // every window position whose trailing sub-sequence needs it.
@@ -1217,7 +1213,6 @@ fn ingest_row(
             TemporalMaskKind::Random | TemporalMaskKind::None => 0.0,
         };
     }
-    s.ring[slot * dims..(slot + 1) * dims].copy_from_slice(&normed);
     s.quals[slot] = quality;
     s.head = (s.head + 1) % win_len;
     if s.filled < win_len {
@@ -1388,11 +1383,7 @@ fn incremental_masks(
     let mask_t = match cfg.temporal_mask {
         TemporalMaskKind::Cv | TemporalMaskKind::Std => {
             let stat: Vec<f64> = if refresh {
-                if cfg.temporal_mask == TemporalMaskKind::Cv {
-                    cv_statistic(values, win_len, dims, w, cfg.use_fft_cv)
-                } else {
-                    std_statistic(values, win_len, dims, w, cfg.use_fft_cv)
-                }
+                temporal_statistic(values, win_len, dims, w, cfg.temporal_mask, cfg.use_fft_cv)
             } else {
                 (0..win_len)
                     .map(|t| {

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use tfmae_core::{
-    frequency_mask, frequency_mask_from_spectra, temporal_mask, FreqMaskKind, FrequencyMaskData, TemporalMaskKind,
+    frequency_mask, frequency_mask_from_spectra, temporal_mask_patched, FreqMaskKind, FrequencyMaskData, TemporalMaskKind,
 };
 use tfmae_fft::stats::bottom_k_indices;
 use tfmae_fft::{irfft, rfft, rfft_len, Complex64};
@@ -26,7 +26,7 @@ fn temporal_mask_partitions_indices() {
         let mut mask_rng = StdRng::seed_from_u64(rng.gen_range(0u64..100));
         use TemporalMaskKind as T;
         for kind in [T::Cv, T::Std, T::Random, T::None] {
-            let m = temporal_mask(&vals, 40, 2, i_t, 10, kind, true, &mut mask_rng);
+            let m = temporal_mask_patched(&vals, 40, 2, 1, i_t, 10, kind, true, &mut mask_rng);
             let mut all: Vec<usize> = m.masked.iter().chain(m.unmasked.iter()).copied().collect();
             all.sort_unstable();
             assert_eq!(all, (0..40).collect::<Vec<_>>(), "case {case}: {kind:?}");
@@ -48,8 +48,8 @@ fn cv_fft_and_loop_paths_pick_same_mask() {
         let i_t = rng.gen_range(1usize..30);
         let mut r1 = StdRng::seed_from_u64(0);
         let mut r2 = StdRng::seed_from_u64(0);
-        let a = temporal_mask(&vals, 64, 1, i_t, 10, TemporalMaskKind::Cv, true, &mut r1);
-        let b = temporal_mask(&vals, 64, 1, i_t, 10, TemporalMaskKind::Cv, false, &mut r2);
+        let a = temporal_mask_patched(&vals, 64, 1, 1, i_t, 10, TemporalMaskKind::Cv, true, &mut r1);
+        let b = temporal_mask_patched(&vals, 64, 1, 1, i_t, 10, TemporalMaskKind::Cv, false, &mut r2);
         // Allow tie-induced differences of at most one index.
         let overlap = a.masked.iter().filter(|i| b.masked.contains(i)).count();
         assert!(overlap + 1 >= a.masked.len(), "case {case}: {:?} vs {:?}", a.masked, b.masked);

@@ -138,7 +138,9 @@ impl Div for Complex64 {
     type Output = Complex64;
     #[inline]
     fn div(self, rhs: Self) -> Self {
-        self * rhs.recip()
+        // `self * rhs.recip()`, with the product written out.
+        let r = rhs.recip();
+        Self { re: self.re * r.re - self.im * r.im, im: self.re * r.im + self.im * r.re }
     }
 }
 

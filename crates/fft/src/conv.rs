@@ -6,7 +6,7 @@
 //! masking-specific statistics live in [`crate::stats`].
 
 use crate::complex::Complex64;
-use crate::fft::{next_power_of_two, Direction};
+use crate::fft::Direction;
 use crate::plan::plan_for_len;
 
 /// Full linear convolution of two real sequences (`len = a.len()+b.len()-1`),
@@ -20,7 +20,7 @@ pub fn convolve_full(a: &[f64], b: &[f64]) -> Vec<f64> {
         return Vec::new();
     }
     let out_len = a.len() + b.len() - 1;
-    let n = next_power_of_two(out_len);
+    let n = out_len.next_power_of_two();
     let plan = plan_for_len(n);
     let mut fa = vec![Complex64::ZERO; n];
     let mut fb = vec![Complex64::ZERO; n];
@@ -75,18 +75,16 @@ pub fn sliding_sum_fft(x: &[f64], w: usize) -> Vec<f64> {
 /// Same sliding sum computed with explicit loops (O(n·w)).
 pub fn sliding_sum_naive(x: &[f64], w: usize) -> Vec<f64> {
     assert!(w >= 1, "window must be >= 1");
-    let n = x.len();
-    let mut out = vec![0.0; n];
-    for t in 0..n {
-        let mut acc = 0.0;
-        for k in 0..w {
-            let idx = t as isize - k as isize;
-            let v = if idx < 0 { x[0] } else { x[idx as usize] };
-            acc += v;
-        }
-        out[t] = acc;
-    }
-    out
+    (0..x.len())
+        .map(|t| {
+            let mut acc = 0.0;
+            for k in 0..w {
+                let idx = t as isize - k as isize;
+                acc += if idx < 0 { x[0] } else { x[idx as usize] };
+            }
+            acc
+        })
+        .collect()
 }
 
 #[cfg(test)]

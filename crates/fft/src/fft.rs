@@ -1,10 +1,12 @@
-//! Fast Fourier transforms: iterative radix-2 Cooley–Tukey for power-of-two
-//! lengths and Bluestein's chirp-z algorithm for everything else.
+//! Fast Fourier transform entry points. Every transform runs through a
+//! cached [`FftPlan`](crate::plan::FftPlan): iterative radix-2 Cooley–Tukey
+//! for power-of-two lengths and Bluestein's chirp-z algorithm for everything
+//! else.
 //!
-//! These kernels power three parts of the reproduction:
+//! These transforms power three parts of the reproduction:
 //! * Eq. 6 — the DFT behind amplitude-based frequency masking;
 //! * Eq. 5 — the Wiener–Khinchin acceleration of sliding statistics;
-//! * the `w/o FFT` ablation of Fig. 10 (which falls back to [`crate::dft`]).
+//! * the `w/o FFT` ablation of Fig. 10 (which falls back to [`crate::dft::dft`]).
 
 use crate::complex::Complex64;
 
@@ -15,135 +17,6 @@ pub enum Direction {
     Forward,
     /// `x_t = (1/n) Σ_k X_k e^{+2πi kt/n}` (scaled by `1/n`).
     Inverse,
-}
-
-/// Returns `true` if `n` is a power of two (`0` is not).
-#[inline]
-pub fn is_power_of_two(n: usize) -> bool {
-    n != 0 && n & (n - 1) == 0
-}
-
-/// Smallest power of two `>= n`.
-#[inline]
-pub fn next_power_of_two(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
-/// In-place iterative radix-2 Cooley–Tukey FFT.
-///
-/// # Panics
-/// Panics if `buf.len()` is not a power of two.
-pub fn fft_pow2_in_place(buf: &mut [Complex64], dir: Direction) {
-    let n = buf.len();
-    assert!(is_power_of_two(n), "fft_pow2_in_place requires power-of-two length, got {n}");
-    if n <= 1 {
-        return;
-    }
-
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 0..n - 1 {
-        if i < j {
-            buf.swap(i, j);
-        }
-        let mut mask = n >> 1;
-        while j & mask != 0 {
-            j &= !mask;
-            mask >>= 1;
-        }
-        j |= mask;
-    }
-
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex64::cis(ang);
-        let half = len / 2;
-        let mut start = 0;
-        while start < n {
-            let mut w = Complex64::ONE;
-            for k in 0..half {
-                let u = buf[start + k];
-                let v = buf[start + k + half] * w;
-                buf[start + k] = u + v;
-                buf[start + k + half] = u - v;
-                w *= wlen;
-            }
-            start += len;
-        }
-        len <<= 1;
-    }
-
-    if dir == Direction::Inverse {
-        let inv = 1.0 / n as f64;
-        for z in buf.iter_mut() {
-            *z = z.scale(inv);
-        }
-    }
-}
-
-/// FFT of arbitrary length via Bluestein's chirp-z transform.
-///
-/// Re-expresses the length-`n` DFT as a circular convolution of chirped
-/// sequences, which is evaluated with power-of-two FFTs of length `>= 2n-1`.
-pub fn fft_bluestein(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
-    let n = input.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![input[0]];
-    }
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-
-    // Chirp c_k = e^{sign * i π k² / n}; use k² mod 2n to avoid precision loss
-    // for large k (π k²/n is periodic in k² with period 2n).
-    let m2 = 2 * n;
-    let mut chirp = Vec::with_capacity(n);
-    for k in 0..n {
-        let k2 = (k * k) % m2;
-        chirp.push(Complex64::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64));
-    }
-
-    let conv_len = next_power_of_two(2 * n - 1);
-    let mut a = vec![Complex64::ZERO; conv_len];
-    let mut b = vec![Complex64::ZERO; conv_len];
-    for k in 0..n {
-        a[k] = input[k] * chirp[k];
-    }
-    b[0] = chirp[0].conj();
-    for k in 1..n {
-        let c = chirp[k].conj();
-        b[k] = c;
-        b[conv_len - k] = c;
-    }
-
-    fft_pow2_in_place(&mut a, Direction::Forward);
-    fft_pow2_in_place(&mut b, Direction::Forward);
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        *x *= *y;
-    }
-    fft_pow2_in_place(&mut a, Direction::Inverse);
-
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        out.push(a[k] * chirp[k]);
-    }
-    if dir == Direction::Inverse {
-        let inv = 1.0 / n as f64;
-        for z in out.iter_mut() {
-            *z = z.scale(inv);
-        }
-    }
-    out
 }
 
 /// Forward FFT of arbitrary length (allocating).
@@ -160,8 +33,7 @@ pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
 ///
 /// Runs through the process-wide [plan cache](crate::plan::plan_for_len):
 /// twiddle factors and bit-reversal tables are computed once per length and
-/// reused by every subsequent same-length call. [`fft_pow2_in_place`] and
-/// [`fft_bluestein`] remain as the plan-free reference implementations.
+/// reused by every subsequent same-length call.
 pub fn transform(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
     crate::plan::plan_for_len(input.len()).process(input, dir)
 }

@@ -37,12 +37,10 @@ pub mod stats;
 pub use complex::Complex64;
 pub use conv::{convolve_full, convolve_naive, sliding_sum_fft, sliding_sum_naive};
 pub use dft::{dft, dft_real, idft};
-pub use fft::{
-    fft, fft_bluestein, fft_pow2_in_place, ifft, is_power_of_two, next_power_of_two, Direction,
-};
+pub use fft::{fft, ifft, Direction};
 pub use plan::{plan_for_len, FftPlan};
 pub use rfft::{amplitude_spectrum, irfft, rfft, rfft_len, SlidingDft};
 pub use stats::{
-    bottom_k_indices, multivariate_cv, sliding_cv_fft, sliding_cv_naive, sliding_mean_fft,
-    sliding_mean_naive, sliding_var_fft, sliding_var_naive, top_k_indices, RollingStats, CV_EPS,
+    bottom_k_indices, sliding_cv_fft, sliding_cv_naive, sliding_mean_fft, sliding_mean_naive,
+    sliding_var_fft, sliding_var_naive, top_k_indices, RollingStats, CV_EPS,
 };

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::complex::Complex64;
-use crate::fft::{is_power_of_two, next_power_of_two, Direction};
+use crate::fft::Direction;
 
 /// A precomputed transform plan for one length. Obtain via [`plan_for_len`];
 /// execute with [`FftPlan::process`].
@@ -68,7 +68,7 @@ impl FftPlan {
     fn build(n: usize) -> FftPlan {
         let kind = if n <= 1 {
             PlanKind::Tiny
-        } else if is_power_of_two(n) {
+        } else if n.is_power_of_two() {
             PlanKind::Pow2(Pow2Tables::build(n))
         } else {
             PlanKind::Bluestein(Box::new(BluesteinTables::build(n)))
@@ -189,7 +189,7 @@ impl BluesteinTables {
         }
         let chirp_inv: Vec<Complex64> = chirp_fwd.iter().map(|c| c.conj()).collect();
 
-        let conv_len = next_power_of_two(2 * n - 1);
+        let conv_len = (2 * n - 1).next_power_of_two();
         let conv = plan_for_len(conv_len);
         let bfft = |chirp: &[Complex64]| {
             let mut b = vec![Complex64::ZERO; conv_len];

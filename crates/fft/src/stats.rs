@@ -50,60 +50,65 @@ pub fn sliding_mean_naive(x: &[f64], w: usize) -> Vec<f64> {
 /// Trailing-window population variance via the FFT path of Eq. 5:
 /// `var_t = μ⁽²⁾_t − μ_t²`, clamped at zero against rounding.
 pub fn sliding_var_fft(x: &[f64], w: usize) -> Vec<f64> {
-    let sq: Vec<f64> = x.iter().map(|&v| v * v).collect();
-    let mu = sliding_mean_fft(x, w);
-    let mu2 = sliding_mean_fft(&sq, w);
-    mu.iter().zip(mu2.iter()).map(|(&m, &m2)| (m2 - m * m).max(0.0)).collect()
+    mean_var_fft(x, w).1
 }
 
 /// Trailing-window population variance with explicit loops (Eq. 1's inner sum
 /// normalized by `W`).
 pub fn sliding_var_naive(x: &[f64], w: usize) -> Vec<f64> {
-    let n = x.len();
-    let mut out = vec![0.0; n];
-    let mu = sliding_mean_naive(x, w);
-    for t in 0..n {
-        let mut acc = 0.0;
-        for k in 0..w {
-            let idx = t as isize - k as isize;
-            let v = if idx < 0 { x[0] } else { x[idx as usize] };
-            let d = v - mu[t];
-            acc += d * d;
-        }
-        out[t] = acc / w as f64;
-    }
-    out
+    mean_var_naive(x, w).1
 }
 
 /// Per-channel coefficient of variation `v̄_t = var_t / (|μ_t| + ε)` via FFT.
 pub fn sliding_cv_fft(x: &[f64], w: usize) -> Vec<f64> {
-    let mu = sliding_mean_fft(x, w);
-    let var = sliding_var_fft(x, w);
-    var.iter().zip(mu.iter()).map(|(&v, &m)| v / (m.abs() + CV_EPS)).collect()
+    let (mu, var) = mean_var_fft(x, w);
+    cv_from(&mu, var)
 }
 
 /// Per-channel coefficient of variation via the looped reference path.
 pub fn sliding_cv_naive(x: &[f64], w: usize) -> Vec<f64> {
-    let mu = sliding_mean_naive(x, w);
-    let var = sliding_var_naive(x, w);
-    var.iter().zip(mu.iter()).map(|(&v, &m)| v / (m.abs() + CV_EPS)).collect()
+    let (mu, var) = mean_var_naive(x, w);
+    cv_from(&mu, var)
 }
 
-/// Sums per-channel CVs into the multivariate score `V ∈ R^{|S|}` of Eq. 1/5.
-/// `channels` holds one slice per feature, all of equal length.
-pub fn multivariate_cv(channels: &[&[f64]], w: usize, use_fft: bool) -> Vec<f64> {
-    let Some(first) = channels.first() else {
-        return Vec::new();
-    };
-    let mut total = vec![0.0; first.len()];
-    for ch in channels {
-        assert_eq!(ch.len(), first.len(), "all channels must share a length");
-        let cv = if use_fft { sliding_cv_fft(ch, w) } else { sliding_cv_naive(ch, w) };
-        for (acc, v) in total.iter_mut().zip(cv.iter()) {
-            *acc += v;
-        }
+/// The trailing mean and the variance built on it (FFT path), so the CV
+/// computes its mean once.
+fn mean_var_fft(x: &[f64], w: usize) -> (Vec<f64>, Vec<f64>) {
+    let sq: Vec<f64> = x.iter().map(|&v| v * v).collect();
+    let mu = sliding_mean_fft(x, w);
+    let mut var = sliding_mean_fft(&sq, w);
+    for (v, &m) in var.iter_mut().zip(&mu) {
+        *v = (*v - m * m).max(0.0);
     }
-    total
+    (mu, var)
+}
+
+/// The trailing mean and the two-pass variance around it (looped path).
+fn mean_var_naive(x: &[f64], w: usize) -> (Vec<f64>, Vec<f64>) {
+    let mu = sliding_mean_naive(x, w);
+    let var = mu
+        .iter()
+        .enumerate()
+        .map(|(t, &m)| {
+            let mut acc = 0.0;
+            for k in 0..w {
+                let idx = t as isize - k as isize;
+                let v = if idx < 0 { x[0] } else { x[idx as usize] };
+                let d = v - m;
+                acc += d * d;
+            }
+            acc / w as f64
+        })
+        .collect();
+    (mu, var)
+}
+
+/// `var / (|μ| + ε)`, in place over `var`.
+fn cv_from(mu: &[f64], mut var: Vec<f64>) -> Vec<f64> {
+    for (v, &m) in var.iter_mut().zip(mu) {
+        *v /= m.abs() + CV_EPS;
+    }
+    var
 }
 
 /// Selects the `k` top indices under `cmp` via a partial selection: an O(n)
@@ -291,14 +296,17 @@ mod tests {
     }
 
     #[test]
-    fn multivariate_cv_sums_channels() {
-        let a = wave(120);
-        let b: Vec<f64> = a.iter().map(|v| v + 1.0).collect();
-        let total = multivariate_cv(&[&a, &b], 10, true);
-        let ca = sliding_cv_fft(&a, 10);
-        let cb = sliding_cv_fft(&b, 10);
-        for i in 0..120 {
-            assert!((total[i] - (ca[i] + cb[i])).abs() < 1e-9);
+    fn cv_is_variance_over_abs_mean_bitwise() {
+        let x = wave(150);
+        for &w in &[1usize, 2, 10, 33] {
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let compose = |mu: Vec<f64>, var: Vec<f64>| {
+                bits(var.iter().zip(&mu).map(|(&v, &m)| v / (m.abs() + CV_EPS)).collect())
+            };
+            let fft = compose(sliding_mean_fft(&x, w), sliding_var_fft(&x, w));
+            assert_eq!(bits(sliding_cv_fft(&x, w)), fft, "fft w={w}");
+            let naive = compose(sliding_mean_naive(&x, w), sliding_var_naive(&x, w));
+            assert_eq!(bits(sliding_cv_naive(&x, w)), naive, "naive w={w}");
         }
     }
 
@@ -369,10 +377,8 @@ mod tests {
         }
         // Blocks of ties mixed with distinct values.
         let mut v = lcg_values(60, 3);
-        for t in 0..60 {
-            if t % 3 == 0 {
-                v[t] = 0.5;
-            }
+        for x in v.iter_mut().step_by(3) {
+            *x = 0.5;
         }
         for &k in &[4usize, 20, 21, 59] {
             assert_eq!(top_k_indices(&v, k), top_k_reference(&v, k), "tie blocks k={k}");

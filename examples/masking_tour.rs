@@ -6,7 +6,9 @@
 //! ```
 
 use rand::SeedableRng;
-use tfmae::core::{cv_statistic, frequency_mask, temporal_mask, FreqMaskKind, TemporalMaskKind};
+use tfmae::core::{
+    frequency_mask, temporal_mask_patched, temporal_statistic, FreqMaskKind, TemporalMaskKind,
+};
 use tfmae::fft::amplitude_spectrum;
 
 fn bar(v: f64, max: f64, width: usize) -> String {
@@ -28,10 +30,10 @@ fn main() {
 
     // ---------------- window-based temporal masking (Fig. 3) -------------
     println!("== window-based temporal masking (Eq. 1-5) ==");
-    let stat = cv_statistic(&x, t, 1, 10, true);
+    let stat = temporal_statistic(&x, t, 1, 10, TemporalMaskKind::Cv, true);
     let max = stat.iter().cloned().fold(f64::MIN, f64::max);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let mask = temporal_mask(&x, t, 1, 12, 10, TemporalMaskKind::Cv, true, &mut rng);
+    let mask = temporal_mask_patched(&x, t, 1, 1, 12, 10, TemporalMaskKind::Cv, true, &mut rng);
     for i in 0..t {
         let m = if mask.masked.contains(&i) { "MASK" } else { "    " };
         println!("t={i:<3} x={:>6.2}  {m}  cv {}", x[i], bar(stat[i], max, 30));

@@ -6,7 +6,7 @@
 //! cargo run --release --example spacecraft_telemetry
 //! ```
 
-use tfmae::core::{cv_statistic, temporal_mask, TemporalMaskKind};
+use tfmae::core::{temporal_mask_patched, temporal_statistic, TemporalMaskKind};
 use tfmae::prelude::*;
 
 fn main() {
@@ -23,14 +23,15 @@ fn main() {
     // --- Peek at the masking machinery on one window of the test set. ---
     let win_len = 100;
     let window = bench.test.slice(0..win_len);
-    let stat = cv_statistic(window.data(), win_len, window.dims(), 10, true);
+    let stat = temporal_statistic(window.data(), win_len, window.dims(), 10, TemporalMaskKind::Cv, true);
     let peak = stat.iter().cloned().fold(f64::MIN, f64::max);
     println!("window CV statistic: max={peak:.3}, mean={:.3}", stat.iter().sum::<f64>() / win_len as f64);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-    let mask = temporal_mask(
+    let mask = temporal_mask_patched(
         window.data(),
         win_len,
         window.dims(),
+        1,
         (win_len as f64 * hp.r_t) as usize,
         10,
         TemporalMaskKind::Cv,
