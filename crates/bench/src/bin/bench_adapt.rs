@@ -44,6 +44,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tfmae_bench::{usage_error, Args};
 use tfmae_core::{
     AdaptationConfig, ServingConfig, ServingEngine, TfmaeConfig, TfmaeDetector,
 };
@@ -324,39 +325,18 @@ fn render_json(cfg: &TfmaeConfig, delta: f32, quick: bool, results: &[SchemeResu
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut quick = false;
     let mut assert_improvement = false;
     let mut out_path = "BENCH_adapt.json".to_string();
-    let mut threads = host;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--assert-improvement" => {
-                assert_improvement = true;
-                i += 1;
-            }
-            "--out" => {
-                out_path = args.get(i + 1).cloned().unwrap_or(out_path);
-                i += 2;
-            }
-            "--threads" => {
-                threads = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or(threads);
-                i += 2;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other}");
-                i += 1;
-            }
+    let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--assert-improvement" => assert_improvement = true,
+            "--out" => out_path = args.value(&flag),
+            "--threads" => threads = args.value(&flag),
+            _ => usage_error(&format!("unknown flag {flag}")),
         }
     }
 

@@ -40,46 +40,59 @@ fn default_threads() -> usize {
 
 impl Options {
     /// Parses `--seed N --divisor N --epochs N --threads N --quick` from
-    /// `std::env::args`, starting from defaults.
+    /// `std::env::args`, starting from defaults. `--quick` shrinks the
+    /// default divisor and epochs; an explicit `--divisor`/`--epochs` wins
+    /// in either order. A bad command line exits 2 (see [`Args`]).
     pub fn parse() -> Self {
         let mut opts = Self::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seed" => {
-                    opts.seed = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(opts.seed);
-                    i += 2;
-                }
-                "--divisor" => {
-                    opts.divisor =
-                        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(opts.divisor);
-                    i += 2;
-                }
-                "--epochs" => {
-                    opts.epochs =
-                        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(opts.epochs);
-                    i += 2;
-                }
-                "--threads" => {
-                    opts.threads =
-                        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(opts.threads);
-                    i += 2;
-                }
-                "--quick" => {
-                    opts.quick = true;
-                    opts.divisor = opts.divisor.max(200);
-                    opts.epochs = opts.epochs.min(2);
-                    i += 1;
-                }
-                other => {
-                    eprintln!("ignoring unknown argument {other}");
-                    i += 1;
-                }
+        let (mut divisor, mut epochs) = (None, None);
+        let mut args = Args::from_env();
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
+                "--seed" => opts.seed = args.value(&flag),
+                "--divisor" => divisor = Some(args.value(&flag)),
+                "--epochs" => epochs = Some(args.value(&flag)),
+                "--threads" => opts.threads = args.value(&flag),
+                "--quick" => opts.quick = true,
+                _ => usage_error(&format!("unknown flag {flag}")),
             }
         }
+        if opts.quick {
+            opts.divisor = opts.divisor.max(200);
+            opts.epochs = opts.epochs.min(2);
+        }
+        opts.divisor = divisor.unwrap_or(opts.divisor);
+        opts.epochs = epochs.unwrap_or(opts.epochs);
         opts
     }
+}
+
+/// The process's `--flag [value]` arguments, walked one flag at a time.
+/// A missing or unparsable value exits 2 with a message.
+pub struct Args(std::vec::IntoIter<String>);
+
+impl Args {
+    /// The process arguments after the program name.
+    pub fn from_env() -> Self {
+        Self(std::env::args().skip(1).collect::<Vec<_>>().into_iter())
+    }
+
+    /// The next flag, or `None` at the end.
+    pub fn next_flag(&mut self) -> Option<String> {
+        self.0.next()
+    }
+
+    /// The value following `flag`, parsed.
+    pub fn value<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        let Some(raw) = self.0.next() else { usage_error(&format!("{flag} needs a value")) };
+        raw.parse().unwrap_or_else(|_| usage_error(&format!("{flag}: cannot parse {raw:?}")))
+    }
+}
+
+/// Prints `error: <msg>` and exits 2, the bad-invocation code.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 /// An aligned text table accumulating rows, also exportable as CSV.

@@ -11,7 +11,7 @@ use tfmae_data::{
     batch_windows, extract_windows, Detector, FitReport, ScoreAccumulator, TimeSeries, ZScore,
 };
 use tfmae_nn::{Adam, Ctx};
-use tfmae_obs::{LazyCounter, LazySpan, Span};
+use tfmae_obs::{LazyCounter, LazyHistogram};
 use tfmae_tensor::{ExecStats, Executor, Graph, Precision, QuantStore, Var};
 
 use crate::config::TfmaeConfig;
@@ -165,7 +165,7 @@ impl TfmaeDetector {
         }
         let row = cfg.win_len * model.dims();
         debug_assert!(windows.iter().all(|w| w.len() == row), "window shape mismatch");
-        static TUNE_SPAN: LazySpan = LazySpan::new("serve.finetune_ns");
+        static TUNE_SPAN: LazyHistogram = LazyHistogram::new("serve.finetune_ns");
         let _tune_span = TUNE_SPAN.enter();
 
         let mut opt = Adam::new(&model.ps, cfg.finetune_lr());
@@ -292,11 +292,11 @@ fn guarded_step(
     guard: &mut TrainGuard,
     batch: &BatchInputs,
     seed: u64,
-    span: Option<&LazySpan>,
+    span: Option<&LazyHistogram>,
 ) -> StepOutcome {
     let mut retries = 0u32;
     loop {
-        let _span = span.map(LazySpan::enter);
+        let _span = span.map(LazyHistogram::enter);
         let (loss, loss_val) = batch_loss(g, model, batch, seed);
         g.backward_params_pooled(loss, &mut model.ps);
         if guard.inspect(loss_val, &model.ps).is_none() {
@@ -324,7 +324,8 @@ impl Detector for TfmaeDetector {
     fn fit(&mut self, train: &TimeSeries, _val: &TimeSeries) {
         let cfg = self.cfg.clone();
         cfg.validate().expect("invalid TfmaeConfig");
-        let _fit_span = Span::enter("train.fit_ns");
+        static FIT_SPAN: LazyHistogram = LazyHistogram::new("train.fit_ns");
+        let _fit_span = FIT_SPAN.enter();
         let start = Instant::now();
 
         let norm = ZScore::fit(train);
@@ -345,7 +346,7 @@ impl Detector for TfmaeDetector {
             && cfg.freq_mask != crate::config::FreqMaskKind::Random;
         let mut mask_cache: Vec<(crate::masking::temporal::TemporalMask, crate::masking::frequency::FrequencyMaskData)> =
             if reuse_masks {
-                static MASK_SPAN: LazySpan = LazySpan::new("train.mask_precompute_ns");
+                static MASK_SPAN: LazyHistogram = LazyHistogram::new("train.mask_precompute_ns");
                 let _mask_span = MASK_SPAN.enter();
                 let slots: Vec<OnceLock<_>> = windows.iter().map(|_| OnceLock::new()).collect();
                 self.exec.parallel_for(windows.len(), 1, &|w0, w1| {
@@ -372,7 +373,7 @@ impl Detector for TfmaeDetector {
         // buffer to the executor's pool, so after the first batch warms it
         // up the training loop performs zero per-step tape allocations.
         let g = Graph::with_executor(self.exec.clone());
-        static STEP_SPAN: LazySpan = LazySpan::new("train.step_ns");
+        static STEP_SPAN: LazyHistogram = LazyHistogram::new("train.step_ns");
         'epochs: for _epoch in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch) {

@@ -258,28 +258,6 @@ impl TfmaeModel {
         g.constant(data, vec![b, k, d])
     }
 
-    /// Full positional table over the temporal branch's `T/P` token
-    /// positions (equals [`TfmaeModel::full_posenc`] when `patch_len = 1`).
-    fn full_posenc_t(&self, g: &Graph, b: usize) -> Var {
-        let tokens = self.cfg.num_patch_tokens();
-        let d = self.cfg.d_model;
-        let mut data = Vec::with_capacity(b * tokens * d);
-        for _ in 0..b {
-            data.extend_from_slice(&self.posenc_t);
-        }
-        g.constant(data, vec![b, tokens, d])
-    }
-
-    fn full_posenc(&self, g: &Graph, b: usize) -> Var {
-        let t = self.cfg.win_len;
-        let d = self.cfg.d_model;
-        let mut data = Vec::with_capacity(b * t * d);
-        for _ in 0..b {
-            data.extend_from_slice(&self.posenc);
-        }
-        g.constant(data, vec![b, t, d])
-    }
-
     /// The temporal masked autoencoder (right of Fig. 5): patchify, encode
     /// unmasked patch tokens, re-insert learnable mask tokens at their
     /// original token positions, decode the full token sequence. Returns
@@ -296,7 +274,7 @@ impl TfmaeModel {
         if i_t == 0 {
             // No masking: the branch degenerates to a plain encoder-decoder.
             let u = self.patch.proj.forward(ctx, x);
-            let u = g.add(u, self.full_posenc_t(g, b));
+            let u = g.add(u, g.constant_from(&self.posenc_t, vec![t, d]));
             let enc = if self.cfg.temporal_encoder { self.t_encoder.forward(ctx, u) } else { u };
             return if self.cfg.temporal_decoder { self.t_decoder.forward(ctx, enc) } else { enc };
         }
@@ -361,7 +339,7 @@ impl TfmaeModel {
         let f_time = g.add(base, g.add(g.mul(ca, m_re), g.mul(cb, m_im)));
 
         let f = self.f_proj.forward(ctx, f_time);
-        let f = g.add(f, self.full_posenc(g, b));
+        let f = g.add(f, g.constant_from(&self.posenc, vec![t, self.cfg.d_model]));
         let repr = if self.cfg.frequency_decoder { self.f_decoder.forward(ctx, f) } else { f };
         (repr, f_time)
     }

@@ -81,14 +81,14 @@
 //! detector. Per-lane counters (`serve.lane<k>.chunks/steals`) roll the
 //! lane dimension up into the process registry.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tfmae_data::TimeSeries;
 use tfmae_fft::{Complex64, RollingStats, SlidingDft, CV_EPS};
 use tfmae_nn::Ctx;
-use tfmae_obs::{Counter, LazyCounter, LazyGauge, LazyHistogram, LazySpan};
+use tfmae_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use tfmae_tensor::{gated_min_chunk, ExecStats, Executor, Graph, Precision, QuantStore};
 
 use crate::adapt::{param_hash, AdaptationConfig, AdaptationStats, AdaptiveRuntime, AdaptiveSnapshot};
@@ -438,29 +438,6 @@ struct PendingWindow {
     window_clean: bool,
 }
 
-/// A `serve.<label><k>.<suffix>` counter (e.g. `serve.lane0.chunks`) that
-/// registers lazily (like `LazyCounter`, but for a runtime name interned
-/// via [`tfmae_obs::intern`]: one allocation per distinct name process-wide,
-/// however many engines are built) and records only while observability is
-/// enabled.
-struct LabeledCounter {
-    name: &'static str,
-    cell: OnceLock<Arc<Counter>>,
-}
-
-impl LabeledCounter {
-    fn new(label: &str, k: usize, suffix: &str) -> Self {
-        let name = tfmae_obs::intern(&format!("serve.{label}{k}.{suffix}"));
-        Self { name, cell: OnceLock::new() }
-    }
-
-    fn add(&self, n: u64) {
-        if tfmae_obs::enabled() {
-            self.cell.get_or_init(|| tfmae_obs::global().counter(self.name)).add(n);
-        }
-    }
-}
-
 /// One scoring lane: a scratch executor whose buffer pool doubles as the
 /// lane's persistent tape arena across flushes. An engine has one lane per
 /// thread of the detector's worker pool; a single lane is the detector's
@@ -469,18 +446,18 @@ impl LabeledCounter {
 struct Lane {
     exec: Arc<Executor>,
     /// Forward chunks this lane executed (`serve.lane<k>.chunks`).
-    chunks: LabeledCounter,
+    chunks: LazyCounter,
     /// Chunks claimed from another lane's share after this lane's ran dry
     /// (`serve.lane<k>.steals`).
-    steals: LabeledCounter,
+    steals: LazyCounter,
 }
 
 impl Lane {
     fn new(lane: usize, exec: Arc<Executor>) -> Self {
         Self {
             exec,
-            chunks: LabeledCounter::new("lane", lane, "chunks"),
-            steals: LabeledCounter::new("lane", lane, "steals"),
+            chunks: LazyCounter::new(tfmae_obs::intern(&format!("serve.lane{lane}.chunks"))),
+            steals: LazyCounter::new(tfmae_obs::intern(&format!("serve.lane{lane}.steals"))),
         }
     }
 }
@@ -837,7 +814,7 @@ impl ServingEngine {
         if self.pending.is_empty() {
             return Vec::new();
         }
-        static FLUSH_SPAN: LazySpan = LazySpan::new("serve.flush_ns");
+        static FLUSH_SPAN: LazyHistogram = LazyHistogram::new("serve.flush_ns");
         static VERDICTS: LazyCounter = LazyCounter::new("serve.verdicts");
         static ANOMALIES: LazyCounter = LazyCounter::new("serve.anomalies");
         static SCORE_HIST: LazyHistogram = LazyHistogram::new("serve.score_micro");

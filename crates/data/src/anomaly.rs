@@ -60,9 +60,9 @@ pub fn inject_contextual(
     let stds = s.channel_stds();
     let offset = 1.5 * stds[n].max(0.5) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
     let end = (t + len).min(s.len());
-    for k in t..end {
+    for (k, label) in (t..end).zip(&mut labels[t..end]) {
         s.set(k, n, s.get(k, n) + offset);
-        labels[k] = 1;
+        *label = 1;
     }
 }
 
@@ -83,10 +83,10 @@ pub fn inject_seasonal(
     let factor = if rng.gen_bool(0.5) { 0.5 } else { 1.0 / 3.0 };
     let period = (base_period * factor).max(2.0);
     let end = (t + len).min(s.len());
-    for k in t..end {
+    for (k, label) in (t..end).zip(&mut labels[t..end]) {
         let v = (2.0 * std::f64::consts::PI * k as f64 / period).sin() as f32 * 1.5 * std;
         s.set(k, n, v);
-        labels[k] = 1;
+        *label = 1;
     }
 }
 
@@ -103,9 +103,9 @@ pub fn inject_trend(
     let std = s.channel_stds()[n].max(0.5);
     let slope = 3.0 * std / len.max(1) as f32 * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
     let end = (t + len).min(s.len());
-    for k in t..end {
+    for (k, label) in (t..end).zip(&mut labels[t..end]) {
         s.set(k, n, s.get(k, n) + slope * (k - t) as f32);
-        labels[k] = 1;
+        *label = 1;
     }
 }
 
@@ -122,9 +122,9 @@ pub fn inject_shapelet(
     let n = rng.gen_range(0..dims);
     let stuck = s.get(t, n);
     let end = (t + len).min(s.len());
-    for k in t..end {
+    for (k, label) in (t..end).zip(&mut labels[t..end]) {
         s.set(k, n, stuck);
-        labels[k] = 1;
+        *label = 1;
     }
 }
 

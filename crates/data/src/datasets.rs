@@ -255,10 +255,9 @@ fn dataset_salt(kind: DatasetKind) -> u64 {
 }
 
 fn apply_shift(series: &mut TimeSeries, from: usize, rng: &mut StdRng) {
-    let dims = series.dims();
     let stds = series.channel_stds();
-    for n in 0..dims {
-        let offset = 0.4 * stds[n].max(0.2) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+    for (n, std) in stds.into_iter().enumerate() {
+        let offset = 0.4 * std.max(0.2) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
         let gain: f32 = rng.gen_range(0.9..1.15);
         for t in from..series.len() {
             let v = series.get(t, n);

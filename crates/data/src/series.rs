@@ -118,8 +118,8 @@ impl TimeSeries {
     pub fn channel_means(&self) -> Vec<f32> {
         let mut m = vec![0.0f64; self.dims];
         for t in 0..self.len {
-            for n in 0..self.dims {
-                m[n] += self.get(t, n) as f64;
+            for (n, acc) in m.iter_mut().enumerate() {
+                *acc += self.get(t, n) as f64;
             }
         }
         m.iter().map(|&v| (v / self.len.max(1) as f64) as f32).collect()

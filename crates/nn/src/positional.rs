@@ -48,9 +48,9 @@ mod tests {
     fn position_zero_alternates_zero_one() {
         let d = 8;
         let table = encoding_table(1, d);
-        for i in 0..d {
+        for (i, v) in table.iter().enumerate() {
             let expect = if i % 2 == 0 { 0.0 } else { 1.0 };
-            assert!((table[i] - expect).abs() < 1e-6);
+            assert!((v - expect).abs() < 1e-6);
         }
     }
 

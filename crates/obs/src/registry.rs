@@ -13,13 +13,10 @@
 //!   name to a different instrument *kind* replaces the old entry (last
 //!   wins) — a programming error surfaced by the round-trip tests rather
 //!   than a panic on the hot path.
-//! * **Disabled means one load.** Recording through the cached handles
-//!   ([`LazyCounter`], [`LazyGauge`], [`LazyHistogram`]) first performs a
-//!   single relaxed atomic load of the registry switch and returns
-//!   immediately when it is off — no locks, no map probes, no clock reads.
-//!   Directly held instruments ([`Counter`](crate::Counter) etc.) are never
-//!   gated; gating is a property of the *global call sites*, not of the
-//!   primitives.
+//! * **Disabled means one load.** Every [`Lazy`] handle method first passes
+//!   one gate, a relaxed load of the registry switch — no locks, no map
+//!   probes, no clock reads while it is off. Directly held instruments
+//!   ([`Counter`](crate::Counter) etc.) are never gated.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +24,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::instruments::{Counter, Gauge, Histogram};
-use crate::span::Journal;
+use crate::span::{Journal, SpanGuard};
 
 /// A named instrument, as stored in a [`Registry`].
 #[derive(Clone, Debug)]
@@ -100,35 +97,27 @@ impl Registry {
 
     /// Get-or-create the counter `name`.
     pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        let mut map = self.instruments.lock().expect("obs registry lock");
-        if let Some(Instrument::Counter(c)) = map.get(name) {
-            return c.clone();
-        }
-        let c = Arc::new(Counter::new());
-        map.insert(name, Instrument::Counter(c.clone()));
-        c
+        self.get_or_create(name)
     }
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        let mut map = self.instruments.lock().expect("obs registry lock");
-        if let Some(Instrument::Gauge(g)) = map.get(name) {
-            return g.clone();
-        }
-        let g = Arc::new(Gauge::new());
-        map.insert(name, Instrument::Gauge(g.clone()));
-        g
+        self.get_or_create(name)
     }
 
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
+        self.get_or_create(name)
+    }
+
+    fn get_or_create<T: Kind>(&self, name: &'static str) -> Arc<T> {
         let mut map = self.instruments.lock().expect("obs registry lock");
-        if let Some(Instrument::Histogram(h)) = map.get(name) {
-            return h.clone();
+        if let Some(found) = map.get(name).and_then(T::unwrap) {
+            return found.clone();
         }
-        let h = Arc::new(Histogram::new());
-        map.insert(name, Instrument::Histogram(h.clone()));
-        h
+        let made = Arc::new(T::default());
+        map.insert(name, T::wrap(made.clone()));
+        made
     }
 
     /// Registers an externally owned instrument under `name` (last wins).
@@ -178,30 +167,72 @@ pub fn intern(name: &str) -> &'static str {
     interned
 }
 
-/// A counter handle cached at the call site: resolve once, then record
+/// An instrument kind a [`Registry`] stores, one per [`Instrument`] variant.
+pub trait Kind: Default {
+    /// Wraps a shared instrument as its registry entry.
+    fn wrap(this: Arc<Self>) -> Instrument;
+    /// The instrument behind `entry`, when it is of this kind.
+    fn unwrap(entry: &Instrument) -> Option<&Arc<Self>>;
+}
+
+macro_rules! kind {
+    ($($t:ident),*) => {$(
+        impl Kind for $t {
+            fn wrap(this: Arc<Self>) -> Instrument {
+                Instrument::$t(this)
+            }
+            fn unwrap(entry: &Instrument) -> Option<&Arc<Self>> {
+                match entry {
+                    Instrument::$t(found) => Some(found),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+kind!(Counter, Gauge, Histogram);
+
+/// An instrument handle cached at the call site: resolve once, then record
 /// through the `Arc` forever. Gated — when the global registry is disabled
-/// the record path is a single relaxed atomic load.
+/// every recording method is a single relaxed atomic load.
+pub struct Lazy<T> {
+    pub(crate) name: &'static str,
+    cell: OnceLock<Arc<T>>,
+}
+
+/// A gated handle on a global [`Counter`].
 ///
 /// ```
 /// static TICKS: tfmae_obs::LazyCounter = tfmae_obs::LazyCounter::new("serve.ticks");
 /// TICKS.inc(); // no-op while disabled
 /// ```
-pub struct LazyCounter {
-    name: &'static str,
-    cell: OnceLock<Arc<Counter>>,
-}
+pub type LazyCounter = Lazy<Counter>;
+/// A gated handle on a global [`Gauge`].
+pub type LazyGauge = Lazy<Gauge>;
+/// A gated handle on a global [`Histogram`]; [`enter`](Lazy::enter) is a span.
+pub type LazyHistogram = Lazy<Histogram>;
 
-impl LazyCounter {
-    /// Declares a handle for the named counter (no registration yet).
+impl<T: Kind> Lazy<T> {
+    /// Declares a handle for the named instrument (no registration yet).
+    /// Runtime-built names go through [`intern`].
     pub const fn new(name: &'static str) -> Self {
         Self { name, cell: OnceLock::new() }
     }
 
     /// The resolved instrument (registers on first use).
-    pub fn handle(&self) -> &Arc<Counter> {
-        self.cell.get_or_init(|| Registry::global().counter(self.name))
+    pub fn handle(&self) -> &Arc<T> {
+        self.cell.get_or_init(|| Registry::global().get_or_create(self.name))
     }
 
+    /// The resolved instrument while the global registry is enabled: the
+    /// one gate, a single relaxed atomic load while it is off.
+    #[inline]
+    pub(crate) fn live(&self) -> Option<&Arc<T>> {
+        crate::enabled().then(|| self.handle())
+    }
+}
+
+impl Lazy<Counter> {
     /// Adds one when the global registry is enabled.
     #[inline]
     pub fn inc(&self) {
@@ -211,10 +242,9 @@ impl LazyCounter {
     /// Adds `n` when the global registry is enabled.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !Registry::global().enabled() {
-            return;
+        if let Some(c) = self.live() {
+            c.add(n);
         }
-        self.handle().add(n);
     }
 
     /// Current value (resolves the handle).
@@ -223,39 +253,21 @@ impl LazyCounter {
     }
 }
 
-/// A gauge handle cached at the call site (see [`LazyCounter`]).
-pub struct LazyGauge {
-    name: &'static str,
-    cell: OnceLock<Arc<Gauge>>,
-}
-
-impl LazyGauge {
-    /// Declares a handle for the named gauge.
-    pub const fn new(name: &'static str) -> Self {
-        Self { name, cell: OnceLock::new() }
-    }
-
-    /// The resolved instrument (registers on first use).
-    pub fn handle(&self) -> &Arc<Gauge> {
-        self.cell.get_or_init(|| Registry::global().gauge(self.name))
-    }
-
+impl Lazy<Gauge> {
     /// Overwrites the value when the global registry is enabled.
     #[inline]
     pub fn set(&self, v: i64) {
-        if !Registry::global().enabled() {
-            return;
+        if let Some(g) = self.live() {
+            g.set(v);
         }
-        self.handle().set(v);
     }
 
     /// Adds `delta` when the global registry is enabled.
     #[inline]
     pub fn add(&self, delta: i64) {
-        if !Registry::global().enabled() {
-            return;
+        if let Some(g) = self.live() {
+            g.add(delta);
         }
-        self.handle().add(delta);
     }
 
     /// Current value (resolves the handle).
@@ -264,38 +276,48 @@ impl LazyGauge {
     }
 }
 
-/// A histogram handle cached at the call site (see [`LazyCounter`]).
-pub struct LazyHistogram {
-    name: &'static str,
-    cell: OnceLock<Arc<Histogram>>,
-}
-
-impl LazyHistogram {
-    /// Declares a handle for the named histogram.
-    pub const fn new(name: &'static str) -> Self {
-        Self { name, cell: OnceLock::new() }
-    }
-
-    /// The resolved instrument (registers on first use).
-    pub fn handle(&self) -> &Arc<Histogram> {
-        self.cell.get_or_init(|| Registry::global().histogram(self.name))
-    }
-
+impl Lazy<Histogram> {
     /// Records a sample when the global registry is enabled.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !Registry::global().enabled() {
-            return;
+        if let Some(h) = self.live() {
+            h.record(v);
         }
-        self.handle().record(v);
     }
 
     /// Records `v * 1e6` (fixed-point micro-units) when enabled.
     #[inline]
     pub fn record_micro(&self, v: f64) {
-        if !Registry::global().enabled() {
-            return;
+        if let Some(h) = self.live() {
+            h.record_micro(v);
         }
-        self.handle().record_micro(v);
+    }
+
+    /// Starts a span timing into this histogram; the guard records on drop.
+    /// While the registry is disabled this is a single relaxed atomic load
+    /// and the guard does nothing.
+    ///
+    /// ```
+    /// static FLUSH: tfmae_obs::LazyHistogram = tfmae_obs::LazyHistogram::new("serve.flush_ns");
+    /// {
+    ///     let _span = FLUSH.enter(); // records on drop, no-op while disabled
+    /// }
+    /// ```
+    #[inline]
+    pub fn enter(&self) -> SpanGuard<'_> {
+        SpanGuard(self.live().map(|_| (self, Instant::now())))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn handles_with_one_name_resolve_to_one_instrument() {
+        static A: LazyCounter = LazyCounter::new("test.same_name");
+        let b = LazyCounter::new(intern("test.same_name"));
+        assert!(Arc::ptr_eq(A.handle(), b.handle()));
+        assert!(Arc::ptr_eq(A.handle(), &Registry::global().counter("test.same_name")));
     }
 }

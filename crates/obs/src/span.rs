@@ -1,27 +1,19 @@
-//! Scoped span timers and the ring-buffer event journal.
+//! Span guards and the ring-buffer event journal.
 //!
-//! A span measures one scoped duration: entering takes a clock reading,
-//! dropping the guard records the elapsed nanoseconds into the span's
-//! histogram (`<name>_ns`… by convention the span *name* already carries
-//! the unit, e.g. `serve.flush_ns`) and appends an event to the process
-//! journal — a fixed-capacity ring of the most recent [`JOURNAL_CAPACITY`]
-//! events, cheap enough to leave on in production and exactly what you
-//! want for post-hoc tracing of the last N serving ticks.
-//!
-//! Two flavours:
-//!
-//! * [`LazySpan`] — a `static` call-site handle for hot paths; entering
-//!   while the registry is disabled is a single relaxed atomic load (no
-//!   clock read, no journal traffic).
-//! * [`Span::enter("train.fit_ns")`](Span::enter) — by-name convenience for
-//!   coarse, infrequent scopes; pays one registry map probe per entry.
+//! A span is [`LazyHistogram::enter`](crate::Lazy::enter): entering takes a
+//! clock reading, dropping the guard records the elapsed nanoseconds into
+//! that histogram (the span *name* carries the unit, e.g. `serve.flush_ns`)
+//! and appends an event to the process journal — a fixed-capacity ring of
+//! the most recent [`JOURNAL_CAPACITY`] events, cheap enough to leave on in
+//! production and exactly what you want for post-hoc tracing of the last N
+//! serving ticks. While the registry is disabled a span reads no clock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::instruments::Histogram;
-use crate::registry::Registry;
+use crate::registry::{Lazy, Registry};
 
 /// Events retained by a [`Journal`] ring.
 pub const JOURNAL_CAPACITY: usize = 256;
@@ -79,95 +71,16 @@ impl Journal {
     }
 }
 
-/// A hot-path span handle cached at the call site.
-///
-/// ```
-/// static FLUSH: tfmae_obs::LazySpan = tfmae_obs::LazySpan::new("serve.flush_ns");
-/// {
-///     let _span = FLUSH.enter(); // records on drop, no-op while disabled
-/// }
-/// ```
-pub struct LazySpan {
-    name: &'static str,
-    cell: OnceLock<Arc<Histogram>>,
-}
-
-impl LazySpan {
-    /// Declares a handle for the named span histogram.
-    pub const fn new(name: &'static str) -> Self {
-        Self { name, cell: OnceLock::new() }
-    }
-
-    /// The span's histogram (registers on first use).
-    pub fn handle(&self) -> &Arc<Histogram> {
-        self.cell.get_or_init(|| Registry::global().histogram(self.name))
-    }
-
-    /// Starts the span. While the registry is disabled this is a single
-    /// relaxed atomic load and the returned guard does nothing on drop.
-    #[inline]
-    pub fn enter(&self) -> SpanGuard<'_> {
-        if !Registry::global().enabled() {
-            return SpanGuard { name: self.name, hist: None, start: None };
-        }
-        SpanGuard { name: self.name, hist: Some(self.handle()), start: Some(Instant::now()) }
-    }
-}
-
-/// By-name span entry for coarse scopes (one registry probe per entry).
-pub struct Span;
-
-impl Span {
-    /// Starts a span named `name`, resolving its histogram through the
-    /// global registry. Use [`LazySpan`] on hot paths instead.
-    pub fn enter(name: &'static str) -> OwnedSpanGuard {
-        if !Registry::global().enabled() {
-            return OwnedSpanGuard { name, hist: None, start: None };
-        }
-        OwnedSpanGuard {
-            name,
-            hist: Some(Registry::global().histogram(name)),
-            start: Some(Instant::now()),
-        }
-    }
-}
-
-fn finish(name: &'static str, start: Instant, hist: &Histogram) {
-    let dur = start.elapsed();
-    let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
-    hist.record(dur_ns);
-    let reg = Registry::global();
-    let start_us =
-        u64::try_from((start - reg.epoch()).as_micros()).unwrap_or(u64::MAX);
-    reg.journal().push(name, start_us, dur_ns);
-}
-
-/// Guard returned by [`LazySpan::enter`]; records on drop.
-pub struct SpanGuard<'a> {
-    name: &'static str,
-    hist: Option<&'a Arc<Histogram>>,
-    start: Option<Instant>,
-}
+/// Guard returned by [`LazyHistogram::enter`](crate::Lazy::enter); records
+/// the elapsed nanoseconds and one journal event on drop.
+pub struct SpanGuard<'a>(pub(crate) Option<(&'a Lazy<Histogram>, Instant)>);
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let (Some(hist), Some(start)) = (self.hist, self.start) {
-            finish(self.name, start, hist);
-        }
-    }
-}
-
-/// Guard returned by [`Span::enter`]; records on drop.
-pub struct OwnedSpanGuard {
-    name: &'static str,
-    hist: Option<Arc<Histogram>>,
-    start: Option<Instant>,
-}
-
-impl Drop for OwnedSpanGuard {
-    fn drop(&mut self) {
-        if let (Some(hist), Some(start)) = (self.hist.as_ref(), self.start) {
-            finish(self.name, start, hist);
+        if let Some((span, start)) = self.0 {
+            let dur_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            span.handle().record(dur_ns);
+            push(span.name, start, dur_ns);
         }
     }
 }
@@ -176,11 +89,14 @@ impl Drop for OwnedSpanGuard {
 /// training rollback, a quarantine transition). Gated like every global
 /// call site: one relaxed load while disabled.
 pub fn event(name: &'static str) {
-    let reg = Registry::global();
-    if !reg.enabled() {
-        return;
+    if crate::enabled() {
+        push(name, Instant::now(), 0);
     }
-    let start_us =
-        u64::try_from(reg.epoch().elapsed().as_micros()).unwrap_or(u64::MAX);
-    reg.journal().push(name, start_us, 0);
+}
+
+/// Appends one event to the global journal, stamped from the registry epoch.
+fn push(name: &'static str, start: Instant, dur_ns: u64) {
+    let reg = Registry::global();
+    let start_us = u64::try_from((start - reg.epoch()).as_micros()).unwrap_or(u64::MAX);
+    reg.journal().push(name, start_us, dur_ns);
 }

@@ -24,8 +24,8 @@ fn main() {
         .map(|i| (2.0 * std::f32::consts::PI * i as f32 / 16.0).sin())
         .collect();
     x[20] = 4.0; // global point anomaly
-    for i in 44..52 {
-        x[i] = (2.0 * std::f32::consts::PI * i as f32 / 3.0).sin(); // seasonal break
+    for (i, v) in (44..52).zip(&mut x[44..52]) {
+        *v = (2.0 * std::f32::consts::PI * i as f32 / 3.0).sin(); // seasonal break
     }
 
     // ---------------- window-based temporal masking (Fig. 3) -------------

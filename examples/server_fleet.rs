@@ -42,9 +42,10 @@ fn main() {
         let lo = first.saturating_sub(5);
         let hi = (first + 10).min(scores.len());
         println!("\nscore trace around first anomaly (t={first}):");
-        for t in lo..hi {
-            let marker = if bench.test_labels[t] == 1 { "  <-- anomaly" } else { "" };
-            println!("  t={t:<6} score={:.4}{}", scores[t], marker);
+        let window = bench.test_labels[lo..hi].iter().zip(&scores[lo..hi]);
+        for (t, (&label, score)) in (lo..).zip(window) {
+            let marker = if label == 1 { "  <-- anomaly" } else { "" };
+            println!("  t={t:<6} score={score:.4}{marker}");
         }
     }
 }
