@@ -16,6 +16,8 @@
 //! a block cancels), takes each block's geometric-mean A/B rows/s ratio,
 //! and reports the median across blocks (robust to a preempted replay):
 //! a ratio above 1 means B is slower, printed as B's overhead in percent.
+//! The quartiles of the per-block overheads follow in brackets: a bound
+//! (say obs's 2%) is resolved only when it lies outside that spread.
 //! Rows/s are each side's best replay.
 //!
 //! `obs` is a bitwise determinism contract (test-asserted in
@@ -105,16 +107,16 @@ impl<'a> Side<'a> {
 }
 
 /// The ABBA estimator: `blocks` blocks of A, B, B, A replays. Returns A's
-/// and B's best rows/s and the median across blocks of the per-block
-/// geometric-mean A/B ratio. With `bitwise`, each replay of B must score
-/// exactly the bits of A's replay at the same position, or the process
-/// exits 1.
+/// and B's best rows/s and the lower quartile, median and upper quartile
+/// across blocks of the per-block geometric-mean A/B ratio. With `bitwise`,
+/// each replay of B must score exactly the bits of A's replay at the same
+/// position, or the process exits 1.
 fn abba(
     blocks: usize,
     bitwise: bool,
     mut a: impl FnMut() -> Replay,
     mut b: impl FnMut() -> Replay,
-) -> (f64, f64, f64) {
+) -> (f64, f64, [f64; 3]) {
     let (mut a_best, mut b_best) = (0.0f64, 0.0f64);
     let mut ratios = Vec::with_capacity(blocks);
     for block in 0..blocks {
@@ -129,15 +131,20 @@ fn abba(
         ratios.push((an / bn.max(1e-12)).sqrt());
     }
     ratios.sort_by(f64::total_cmp);
-    (a_best, b_best, ratios[ratios.len() / 2])
+    let n = ratios.len();
+    (a_best, b_best, [ratios[n / 4], ratios[n / 2], ratios[3 * n / 4]])
 }
 
-fn report(name: &str, threads: usize, sides: (&str, &str), (a, b, ratio): (f64, f64, f64)) {
+fn report(name: &str, threads: usize, sides: (&str, &str), (a, b, ratios): (f64, f64, [f64; 3])) {
     let (a_name, b_name) = sides;
-    let pct = (ratio - 1.0) * 100.0;
+    let [q1, ratio, q3] = ratios;
+    let pct = |r: f64| (r - 1.0) * 100.0;
     println!(
         "{name} (S={STREAMS}, {threads} threads): {a_name} {a:.0} rows/s, {b_name} {b:.0} rows/s, \
-         median paired ratio {ratio:.4}, overhead of {b_name} {pct:+.2}%"
+         median paired ratio {ratio:.4}, overhead of {b_name} {:+.2}% [quartiles {:+.2}%, {:+.2}%]",
+        pct(ratio),
+        pct(q1),
+        pct(q3)
     );
 }
 

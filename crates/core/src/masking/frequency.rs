@@ -12,14 +12,21 @@
 //! f[t, n] = base[t, n] + Re(m^n)·A[t, n] + Im(m^n)·B[t, n]
 //! ```
 //!
-//! where `base` is the inverse transform with the masked bins zeroed and
-//! `A`/`B` collect the cosine/sine synthesis coefficients of the masked
-//! bins. `base`, `A`, `B` are precomputed constants per window, so exact
-//! gradients reach `m^(F)` through ordinary broadcast multiply/add — no
-//! custom autograd kernel is needed (DESIGN.md §3). The coefficients depend
-//! only on the window length and bin, so `A`/`B` are sums of rows of a
-//! per-length synthesis basis built once per process; a mask costs no
-//! trigonometry.
+//! where `base` is the signal with the masked bins removed and `A`/`B`
+//! collect the cosine/sine synthesis coefficients of the masked bins.
+//! `base`, `A`, `B` are precomputed constants per window, so exact gradients
+//! reach `m^(F)` through ordinary broadcast multiply/add — no custom autograd
+//! kernel is needed (DESIGN.md §3). The coefficients depend only on the
+//! window length and bin, so all three are sums of rows of a per-length
+//! synthesis basis built once per process, and a mask runs no inverse
+//! transform and no trigonometry: Eq. 9–10 change only the masked bins, so
+//! `base` is the window minus those bins' synthesis,
+//!
+//! ```text
+//! base[t, n] = x[t, n] − Σ_{i masked} (Re X_i·cos_i[t] + Im X_i·sin_i[t])
+//! ```
+//!
+//! accumulated in f64 and rounded to f32 once.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -27,7 +34,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use tfmae_fft::stats::bottom_k_indices;
-use tfmae_fft::{irfft, rfft, rfft_len, Complex64};
+use tfmae_fft::{rfft, rfft_len, Complex64};
 
 use crate::config::FreqMaskKind;
 
@@ -35,7 +42,8 @@ use crate::config::FreqMaskKind;
 /// window (all row-major `[win_len, dims]`).
 #[derive(Clone, Debug)]
 pub struct FrequencyMaskData {
-    /// Inverse transform of the spectrum with masked bins zeroed.
+    /// The window with the masked bins' synthesis subtracted: the inverse
+    /// transform of the spectrum with those bins zeroed.
     pub base: Vec<f32>,
     /// `∂f/∂Re(m^n)` synthesis coefficients.
     pub a: Vec<f32>,
@@ -65,11 +73,12 @@ pub fn frequency_mask(
             rfft(&ch)
         })
         .collect();
-    frequency_mask_from_spectra(&spectra, win_len, i_f, kind, rng)
+    frequency_mask_from_spectra(&spectra, values, win_len, i_f, kind, rng)
 }
 
 /// Computes the frequency mask from precomputed per-channel half-spectra
-/// (one `rfft_len(win_len)`-long spectrum per channel).
+/// (one `rfft_len(win_len)`-long spectrum per channel) of `values`
+/// (row-major `[win_len, dims]`, `dims = spectra.len()`).
 ///
 /// This is [`frequency_mask`] minus the forward transforms, split out so
 /// streaming callers can supply spectra maintained by the sliding-DFT
@@ -77,15 +86,18 @@ pub fn frequency_mask(
 /// per channel per hop.
 ///
 /// # Panics
-/// Panics if any spectrum's length differs from `rfft_len(win_len)`.
+/// Panics if any spectrum's length differs from `rfft_len(win_len)` or
+/// `values` is not `win_len · spectra.len()` long.
 pub fn frequency_mask_from_spectra<S: AsRef<[Complex64]>>(
     spectra: &[S],
+    values: &[f32],
     win_len: usize,
     i_f: usize,
     kind: FreqMaskKind,
     rng: &mut StdRng,
 ) -> FrequencyMaskData {
     let dims = spectra.len();
+    assert_eq!(values.len(), win_len * dims, "window size mismatch");
     let bins = rfft_len(win_len);
     let i_f = i_f.min(bins.saturating_sub(1));
     let mut base = vec![0.0f32; win_len * dims];
@@ -95,18 +107,19 @@ pub fn frequency_mask_from_spectra<S: AsRef<[Complex64]>>(
     let basis = synthesis_basis(win_len);
     let mut a_ch = vec![0.0f32; win_len];
     let mut b_ch = vec![0.0f32; win_len];
+    let mut synth = vec![0.0f64; win_len];
 
     for (n, chan_spec) in spectra.iter().enumerate() {
-        let chan_spec = chan_spec.as_ref();
-        assert_eq!(chan_spec.len(), bins, "spectrum length mismatch for channel {n}");
-        let mut spec = chan_spec.to_vec();
+        let spec = chan_spec.as_ref();
+        assert_eq!(spec.len(), bins, "spectrum length mismatch for channel {n}");
         let masked: Vec<usize> = if i_f == 0 || kind == FreqMaskKind::None {
             Vec::new()
         } else {
             match kind {
                 FreqMaskKind::Amplitude => {
-                    let amp: Vec<f64> = spec.iter().map(|z| z.abs()).collect();
-                    let mut idx = bottom_k_indices(&amp, i_f);
+                    // |X|² ranks like |X| without a hypot per bin.
+                    let power: Vec<f64> = spec.iter().map(|z| z.norm_sqr()).collect();
+                    let mut idx = bottom_k_indices(&power, i_f);
                     idx.sort_unstable();
                     idx
                 }
@@ -122,32 +135,36 @@ pub fn frequency_mask_from_spectra<S: AsRef<[Complex64]>>(
             }
         };
 
-        // base: zero the masked bins and synthesize.
-        for &i in &masked {
-            spec[i] = Complex64::ZERO;
-        }
-        let base_ch = irfft(&spec, win_len);
-        for (t, &v) in base_ch.iter().enumerate() {
-            base[t * dims + n] = v as f32;
-        }
-
-        // A/B: sum the masked bins' basis rows into a contiguous per-channel
-        // scratch, in ascending bin order, then scatter it once.
+        // One pass over the masked bins, in ascending order: A/B sum their
+        // basis rows rounded to f32 into contiguous per-channel scratch, and
+        // `synth` sums their f64 synthesis, which `base` subtracts from the
+        // window.
         a_ch.fill(0.0);
         b_ch.fill(0.0);
+        synth.fill(0.0);
         for &i in &masked {
-            for (acc, &v) in a_ch.iter_mut().zip(basis.cos_row(i)) {
-                *acc += v;
-            }
-            if !dc_or_nyquist(win_len, i) {
-                for (acc, &v) in b_ch.iter_mut().zip(basis.sin_row(i)) {
-                    *acc += v;
+            let z = spec[i];
+            let cos = basis.cos_row(i);
+            if dc_or_nyquist(win_len, i) {
+                for (t, (a_t, s_t)) in a_ch.iter_mut().zip(synth.iter_mut()).enumerate() {
+                    *a_t += cos[t] as f32;
+                    *s_t += z.re * cos[t];
+                }
+            } else {
+                let sin = basis.sin_row(i);
+                let acc = a_ch.iter_mut().zip(b_ch.iter_mut()).zip(synth.iter_mut());
+                for (t, ((a_t, b_t), s_t)) in acc.enumerate() {
+                    *a_t += cos[t] as f32;
+                    *b_t += sin[t] as f32;
+                    *s_t += z.re * cos[t] + z.im * sin[t];
                 }
             }
         }
         for t in 0..win_len {
-            a[t * dims + n] = a_ch[t];
-            b[t * dims + n] = b_ch[t];
+            let k = t * dims + n;
+            base[k] = (values[k] as f64 - synth[t]) as f32;
+            a[k] = a_ch[t];
+            b[k] = b_ch[t];
         }
         masked_bins.push(masked);
     }
@@ -161,10 +178,10 @@ pub fn frequency_mask_from_spectra<S: AsRef<[Complex64]>>(
 /// length is shared process-wide through [`synthesis_basis`].
 struct SynthesisBasis {
     win_len: usize,
-    /// `[bins, win_len]`: `(c·cos(w_i·t)/L) as f32`.
-    cos: Vec<f32>,
-    /// `[bins, win_len]`: `(−c·sin(w_i·t)/L) as f32`.
-    sin: Vec<f32>,
+    /// `[bins, win_len]`: `c·cos(w_i·t)/L`.
+    cos: Vec<f64>,
+    /// `[bins, win_len]`: `−c·sin(w_i·t)/L`.
+    sin: Vec<f64>,
 }
 
 impl SynthesisBasis {
@@ -180,18 +197,18 @@ impl SynthesisBasis {
             let w = 2.0 * std::f64::consts::PI * i as f64 / win_len as f64;
             for t in 0..win_len {
                 let (s, co) = (w * t as f64).sin_cos();
-                cos.push((c * co / win_len as f64) as f32);
-                sin.push((-c * s / win_len as f64) as f32);
+                cos.push(c * co / win_len as f64);
+                sin.push(-c * s / win_len as f64);
             }
         }
         SynthesisBasis { win_len, cos, sin }
     }
 
-    fn cos_row(&self, i: usize) -> &[f32] {
+    fn cos_row(&self, i: usize) -> &[f64] {
         &self.cos[i * self.win_len..(i + 1) * self.win_len]
     }
 
-    fn sin_row(&self, i: usize) -> &[f32] {
+    fn sin_row(&self, i: usize) -> &[f64] {
         &self.sin[i * self.win_len..(i + 1) * self.win_len]
     }
 }
@@ -204,7 +221,7 @@ fn dc_or_nyquist(win_len: usize, i: usize) -> bool {
 
 /// The process-wide synthesis basis for window length `win_len`. Repeated
 /// calls with the same length return clones of the same `Arc`; the first call
-/// per length pays the `sin_cos` table (about 4·L² bytes).
+/// per length pays the `sin_cos` table (about 8·L² bytes).
 fn synthesis_basis(win_len: usize) -> Arc<SynthesisBasis> {
     static BASES: OnceLock<Mutex<HashMap<usize, Arc<SynthesisBasis>>>> = OnceLock::new();
     let cache = BASES.get_or_init(|| Mutex::new(HashMap::new()));
@@ -230,6 +247,7 @@ pub fn reconstruct(data: &FrequencyMaskData, re: &[f32], im: &[f32], win_len: us
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use tfmae_fft::irfft;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0)
@@ -296,9 +314,8 @@ mod tests {
         let len = 32;
         let vals = tone_plus_noise(len);
         let data = frequency_mask(&vals, len, 1, 8, FreqMaskKind::None, &mut rng());
-        for (x, y) in vals.iter().zip(data.base.iter()) {
-            assert!((x - y).abs() < 1e-4);
-        }
+        // Nothing masked, nothing subtracted: the window itself, bit for bit.
+        assert!(vals.iter().zip(&data.base).all(|(x, y)| x.to_bits() == y.to_bits()));
         assert!(data.masked_bins[0].is_empty());
         assert!(data.a.iter().all(|&v| v == 0.0));
     }
@@ -334,7 +351,7 @@ mod tests {
                 rfft(&ch)
             })
             .collect();
-        let split = frequency_mask_from_spectra(&spectra, len, 9, FreqMaskKind::Amplitude, &mut rng());
+        let split = frequency_mask_from_spectra(&spectra, &vals, len, 9, FreqMaskKind::Amplitude, &mut rng());
         assert_eq!(full.base, split.base);
         assert_eq!(full.a, split.a);
         assert_eq!(full.b, split.b);

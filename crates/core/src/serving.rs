@@ -1235,7 +1235,13 @@ fn ingest_row(
             static SDFT_REFRESHES: LazyCounter = LazyCounter::new("serve.sdft_refreshes");
             SDFT_REFRESHES.inc();
         }
-        let masks = incremental_masks(&det.cfg, s, &values, dims, refresh, &mut rng);
+        // Once per staged window: the hop's statistic, spectra and mask
+        // synthesis, the part of ingest a buffered row never pays.
+        static MASKS_SPAN: LazyHistogram = LazyHistogram::new("serve.ingest.masks_ns");
+        let masks = {
+            let _span = MASKS_SPAN.enter();
+            incremental_masks(&det.cfg, s, &values, dims, refresh, &mut rng)
+        };
         s.hops_since_refresh = if refresh { 1 } else { s.hops_since_refresh + 1 };
         masks
     };
@@ -1412,8 +1418,14 @@ fn incremental_masks(
         }
     }
     let spectra: Vec<&[Complex64]> = s.sdft.iter().map(SlidingDft::spectrum).collect();
-    let mask_f =
-        frequency_mask_from_spectra(&spectra, win_len, cfg.masked_freq_bins(), cfg.freq_mask, rng);
+    let mask_f = frequency_mask_from_spectra(
+        &spectra,
+        values,
+        win_len,
+        cfg.masked_freq_bins(),
+        cfg.freq_mask,
+        rng,
+    );
     (mask_t, mask_f)
 }
 
@@ -1907,6 +1919,23 @@ mod tests {
             verdicts += report.verdicts.len();
         }
         assert_eq!(verdicts, 2 * win);
+    }
+
+    #[test]
+    fn stream_memory_holds_spectra_but_no_twiddles() {
+        // A stream's sliding DFTs hold one half-spectrum per channel; the
+        // advance twiddles are one process-wide table per window length,
+        // which saves dims·(win/2+1)·16 bytes per stream.
+        let (win, dims, w) = (100, 38, 10);
+        let s = StreamState::new(win, dims, w);
+        let spectra = dims * tfmae_fft::rfft_len(win) * std::mem::size_of::<Complex64>();
+        assert_eq!(s.sdft.iter().map(SlidingDft::heap_bytes).sum::<usize>(), spectra);
+        let rest = win * dims * std::mem::size_of::<f32>()
+            + win * std::mem::size_of::<DataQuality>()
+            + dims * (std::mem::size_of::<Option<f32>>() + std::mem::size_of::<usize>())
+            + win * std::mem::size_of::<f64>()
+            + dims * w * std::mem::size_of::<f64>();
+        assert_eq!(s.heap_bytes(), rest + spectra);
     }
 
     #[test]

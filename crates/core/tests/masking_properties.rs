@@ -115,10 +115,44 @@ fn mask_kinds_mask_expected_bin_counts() {
     }
 }
 
+/// The masked bins of one channel spectrum, selected as the library does
+/// (amplitude ranks on `score`).
+fn select_bins(
+    spec: &[Complex64],
+    i_f: usize,
+    kind: FreqMaskKind,
+    score: fn(&Complex64) -> f64,
+    rng: &mut StdRng,
+) -> Vec<usize> {
+    let bins = spec.len();
+    if i_f == 0 || kind == FreqMaskKind::None {
+        return Vec::new();
+    }
+    match kind {
+        FreqMaskKind::Amplitude => {
+            let amp: Vec<f64> = spec.iter().map(score).collect();
+            let mut idx = bottom_k_indices(&amp, i_f);
+            idx.sort_unstable();
+            idx
+        }
+        FreqMaskKind::HighFreq => ((bins - i_f)..bins).collect(),
+        FreqMaskKind::Random => {
+            let mut idx: Vec<usize> = (0..bins).collect();
+            idx.shuffle(rng);
+            let mut idx = idx[..i_f].to_vec();
+            idx.sort_unstable();
+            idx
+        }
+        FreqMaskKind::None => unreachable!(),
+    }
+}
+
 /// The frequency mask computed the direct way: one `sin_cos` per masked bin,
 /// time step and channel, accumulated straight into the strided `[win_len,
-/// dims]` outputs. The library reads the same coefficients from a cached
-/// per-length basis; this is the reference it must match bit for bit.
+/// dims]` outputs, with `base` the window minus the masked bins' f64
+/// synthesis summed in ascending bin order. The library reads the same
+/// coefficients from a cached per-length basis; this is the reference it
+/// must match bit for bit.
 fn reference_frequency_mask(
     values: &[f32],
     win_len: usize,
@@ -135,49 +169,89 @@ fn reference_frequency_mask(
     let mut masked_bins = Vec::with_capacity(dims);
     for n in 0..dims {
         let ch: Vec<f64> = (0..win_len).map(|t| values[t * dims + n] as f64).collect();
-        let mut spec = rfft(&ch);
-        let masked: Vec<usize> = if i_f == 0 || kind == FreqMaskKind::None {
-            Vec::new()
-        } else {
-            match kind {
-                FreqMaskKind::Amplitude => {
-                    let amp: Vec<f64> = spec.iter().map(|z| z.abs()).collect();
-                    let mut idx = bottom_k_indices(&amp, i_f);
-                    idx.sort_unstable();
-                    idx
-                }
-                FreqMaskKind::HighFreq => ((bins - i_f)..bins).collect(),
-                FreqMaskKind::Random => {
-                    let mut idx: Vec<usize> = (0..bins).collect();
-                    idx.shuffle(rng);
-                    let mut idx = idx[..i_f].to_vec();
-                    idx.sort_unstable();
-                    idx
-                }
-                FreqMaskKind::None => unreachable!(),
-            }
-        };
-        for &i in &masked {
-            spec[i] = Complex64::ZERO;
-        }
-        for (t, &v) in irfft(&spec, win_len).iter().enumerate() {
-            base[t * dims + n] = v as f32;
-        }
+        let spec = rfft(&ch);
+        let masked = select_bins(&spec, i_f, kind, |z| z.norm_sqr(), rng);
+        let mut synth = vec![0.0f64; win_len];
         for &i in &masked {
             let dc_or_nyquist = i == 0 || (win_len.is_multiple_of(2) && i == win_len / 2);
             let c = if dc_or_nyquist { 1.0 } else { 2.0 };
             let w = 2.0 * std::f64::consts::PI * i as f64 / win_len as f64;
             for t in 0..win_len {
                 let (s, co) = (w * t as f64).sin_cos();
-                a[t * dims + n] += (c * co / win_len as f64) as f32;
-                if !dc_or_nyquist {
-                    b[t * dims + n] += (-c * s / win_len as f64) as f32;
+                let (cos64, sin64) = (c * co / win_len as f64, -c * s / win_len as f64);
+                a[t * dims + n] += cos64 as f32;
+                if dc_or_nyquist {
+                    synth[t] += spec[i].re * cos64;
+                } else {
+                    b[t * dims + n] += sin64 as f32;
+                    synth[t] += spec[i].re * cos64 + spec[i].im * sin64;
                 }
             }
+        }
+        for t in 0..win_len {
+            base[t * dims + n] = (ch[t] - synth[t]) as f32;
         }
         masked_bins.push(masked);
     }
     FrequencyMaskData { base, a, b, masked_bins }
+}
+
+/// The Eq. 9–10 oracle: bins ranked on `|X|`, the masked ones zeroed, and the
+/// spectrum inverted by `irfft`. Returns `(base, masked_bins)`.
+fn irfft_oracle(
+    values: &[f32],
+    win_len: usize,
+    dims: usize,
+    i_f: usize,
+    kind: FreqMaskKind,
+    rng: &mut StdRng,
+) -> (Vec<f32>, Vec<Vec<usize>>) {
+    let i_f = i_f.min(rfft_len(win_len).saturating_sub(1));
+    let mut base = vec![0.0f32; win_len * dims];
+    let mut masked_bins = Vec::with_capacity(dims);
+    for n in 0..dims {
+        let ch: Vec<f64> = (0..win_len).map(|t| values[t * dims + n] as f64).collect();
+        let mut spec = rfft(&ch);
+        let masked = select_bins(&spec, i_f, kind, |z| z.abs(), rng);
+        for &i in &masked {
+            spec[i] = Complex64::ZERO;
+        }
+        for (t, &v) in irfft(&spec, win_len).iter().enumerate() {
+            base[t * dims + n] = v as f32;
+        }
+        masked_bins.push(masked);
+    }
+    (base, masked_bins)
+}
+
+/// Distance in units in the last place between two finite f32 values of any
+/// sign (adjacent floats are 1 apart, `0.0` and `-0.0` are 0 apart).
+fn ulps(x: f32, y: f32) -> u32 {
+    let key = |v: f32| {
+        let b = v.to_bits() as i32;
+        if b < 0 {
+            i32::MIN.wrapping_sub(b) as i64
+        } else {
+            b as i64
+        }
+    };
+    (key(x) - key(y)).unsigned_abs() as u32
+}
+
+/// The windows the bitwise and oracle tests sweep: odd lengths, even lengths
+/// with a Nyquist bin, powers of two and Bluestein lengths.
+const WIN_LENS: [usize; 10] = [4, 5, 7, 16, 33, 64, 99, 100, 128, 257];
+const DIMS: [usize; 3] = [1, 3, 38];
+const KINDS: [FreqMaskKind; 4] =
+    [FreqMaskKind::Amplitude, FreqMaskKind::HighFreq, FreqMaskKind::Random, FreqMaskKind::None];
+
+fn sweep_values(win_len: usize, dims: usize) -> Vec<f32> {
+    (0..win_len * dims)
+        .map(|k| {
+            let x = k as f32;
+            (x * 0.37).sin() * 3.0 + (x * 0.071).cos() + 0.01 * ((k * 7919) % 17) as f32
+        })
+        .collect()
 }
 
 fn assert_bitwise(got: &FrequencyMaskData, want: &FrequencyMaskData, case: &str) {
@@ -192,34 +266,62 @@ fn assert_bitwise(got: &FrequencyMaskData, want: &FrequencyMaskData, case: &str)
 
 #[test]
 fn cached_basis_matches_per_call_trigonometry_bitwise() {
-    let kinds = [FreqMaskKind::Amplitude, FreqMaskKind::HighFreq, FreqMaskKind::Random, FreqMaskKind::None];
-    // Odd lengths, even lengths with a Nyquist bin, powers of two and
-    // Bluestein lengths.
-    for win_len in [4usize, 5, 7, 16, 33, 64, 99, 100, 128, 257] {
-        for dims in [1usize, 3, 38] {
-            let values: Vec<f32> = (0..win_len * dims)
-                .map(|k| {
-                    let x = k as f32;
-                    (x * 0.37).sin() * 3.0 + (x * 0.071).cos() + 0.01 * ((k * 7919) % 17) as f32
-                })
-                .collect();
+    for win_len in WIN_LENS {
+        for dims in DIMS {
+            let values = sweep_values(win_len, dims);
             for i_f in [0usize, 1, 12, rfft_len(win_len) + 3] {
-                for kind in kinds {
+                for kind in KINDS {
                     let case = format!("win_len={win_len} dims={dims} i_f={i_f} kind={kind:?}");
                     let seed = (win_len * 1000 + dims * 10 + i_f) as u64;
                     let want =
                         reference_frequency_mask(&values, win_len, dims, i_f, kind, &mut StdRng::seed_from_u64(seed));
                     let got = frequency_mask(&values, win_len, dims, i_f, kind, &mut StdRng::seed_from_u64(seed));
                     assert_bitwise(&got, &want, &case);
+                    if i_f == 0 || kind == FreqMaskKind::None {
+                        // Nothing masked, nothing subtracted: the window itself.
+                        assert!(
+                            got.base.iter().zip(&values).all(|(g, v)| g.to_bits() == v.to_bits()),
+                            "{case}: base must be the window bit for bit"
+                        );
+                    }
 
                     // The borrowed-spectra entry point the serving engine uses.
                     let spectra: Vec<Vec<Complex64>> = (0..dims)
                         .map(|n| rfft(&(0..win_len).map(|t| values[t * dims + n] as f64).collect::<Vec<_>>()))
                         .collect();
                     let borrowed: Vec<&[Complex64]> = spectra.iter().map(Vec::as_slice).collect();
-                    let split =
-                        frequency_mask_from_spectra(&borrowed, win_len, i_f, kind, &mut StdRng::seed_from_u64(seed));
+                    let split = frequency_mask_from_spectra(
+                        &borrowed,
+                        &values,
+                        win_len,
+                        i_f,
+                        kind,
+                        &mut StdRng::seed_from_u64(seed),
+                    );
                     assert_bitwise(&split, &want, &format!("{case} (from spectra)"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn base_is_within_one_ulp_of_the_masked_irfft() {
+    for win_len in WIN_LENS {
+        for dims in DIMS {
+            let values = sweep_values(win_len, dims);
+            for i_f in [0usize, 1, 12, rfft_len(win_len) + 3] {
+                for kind in KINDS {
+                    let case = format!("win_len={win_len} dims={dims} i_f={i_f} kind={kind:?}");
+                    let seed = (win_len * 1000 + dims * 10 + i_f) as u64;
+                    let (want, want_bins) =
+                        irfft_oracle(&values, win_len, dims, i_f, kind, &mut StdRng::seed_from_u64(seed));
+                    let got = frequency_mask(&values, win_len, dims, i_f, kind, &mut StdRng::seed_from_u64(seed));
+                    // Ranking on |X|² picks the same bins as ranking on |X|.
+                    assert_eq!(got.masked_bins, want_bins, "{case}: masked bins");
+                    for (k, (&g, &w)) in got.base.iter().zip(&want).enumerate() {
+                        assert!(ulps(g, w) <= 1, "{case}: base[{k}] = {g} vs irfft {w}");
+                    }
                 }
             }
         }

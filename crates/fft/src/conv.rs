@@ -5,9 +5,11 @@
 //! (Wiener–Khinchin). This module provides the generic machinery; the
 //! masking-specific statistics live in [`crate::stats`].
 
+use std::sync::Arc;
+
 use crate::complex::Complex64;
 use crate::fft::Direction;
-use crate::plan::plan_for_len;
+use crate::plan::{plan_for_len, FftPlan};
 
 /// Full linear convolution of two real sequences (`len = a.len()+b.len()-1`),
 /// computed by zero-padded power-of-two FFTs in O((n+m) log(n+m)).
@@ -20,23 +22,66 @@ pub fn convolve_full(a: &[f64], b: &[f64]) -> Vec<f64> {
         return Vec::new();
     }
     let out_len = a.len() + b.len() - 1;
-    let n = out_len.next_power_of_two();
-    let plan = plan_for_len(n);
-    let mut fa = vec![Complex64::ZERO; n];
-    let mut fb = vec![Complex64::ZERO; n];
-    for (slot, &v) in fa.iter_mut().zip(a.iter()) {
+    let plan = plan_for_len(out_len.next_power_of_two());
+    let fb = padded_spectrum(&plan, b);
+    convolve_with_spectrum(&plan, a, &fb, out_len)
+}
+
+/// Forward transform of `x` zero-padded to the plan's length.
+fn padded_spectrum(plan: &FftPlan, x: &[f64]) -> Vec<Complex64> {
+    let mut fx = vec![Complex64::ZERO; plan.len()];
+    for (slot, &v) in fx.iter_mut().zip(x.iter()) {
         *slot = Complex64::from_re(v);
     }
-    for (slot, &v) in fb.iter_mut().zip(b.iter()) {
-        *slot = Complex64::from_re(v);
-    }
-    plan.process_in_place(&mut fa, Direction::Forward);
-    plan.process_in_place(&mut fb, Direction::Forward);
+    plan.process_in_place(&mut fx, Direction::Forward);
+    fx
+}
+
+/// The first `out_len` samples of `a ∗ b`, given `fb`, the
+/// [`padded_spectrum`] of `b` on the same plan.
+fn convolve_with_spectrum(plan: &FftPlan, a: &[f64], fb: &[Complex64], out_len: usize) -> Vec<f64> {
+    let mut fa = padded_spectrum(plan, a);
     for (x, y) in fa.iter_mut().zip(fb.iter()) {
         *x *= *y;
     }
     plan.process_in_place(&mut fa, Direction::Inverse);
     fa[..out_len].iter().map(|z| z.re).collect()
+}
+
+/// The trailing-window sliding sum of [`sliding_sum_fft`] for inputs of one
+/// length, with the spectrum of the ones kernel `1^w` computed once and
+/// reused for every input (the mean and the mean of squares of Eq. 5).
+pub(crate) struct SlidingSumFft {
+    w: usize,
+    len: usize,
+    plan: Arc<FftPlan>,
+    ones: Vec<Complex64>,
+}
+
+impl SlidingSumFft {
+    /// Sliding sums of width `w` (>= 1) over inputs of length `len` (>= 1).
+    pub(crate) fn new(len: usize, w: usize) -> Self {
+        assert!(w >= 1, "window must be >= 1");
+        assert!(len >= 1, "input must be non-empty");
+        // The edge-padded input is `len + w − 1` long, its full convolution
+        // with the kernel `len + 2(w − 1)`.
+        let plan = plan_for_len((len + 2 * (w - 1)).next_power_of_two());
+        let ones = padded_spectrum(&plan, &vec![1.0; w]);
+        Self { w, len, plan, ones }
+    }
+
+    /// `out[t] = Σ_{k=t-w+1..=t} x[k]`, the head edge-padded with `x[0]`.
+    pub(crate) fn apply(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.len, "input length mismatch");
+        let w = self.w;
+        let mut padded = Vec::with_capacity(x.len() + w - 1);
+        padded.extend(std::iter::repeat_n(x[0], w - 1));
+        padded.extend_from_slice(x);
+        let full = convolve_with_spectrum(&self.plan, &padded, &self.ones, padded.len() + w - 1);
+        // Alignment: full[i] = Σ_j padded[i-j]·1 covers padded[i-w+1..=i]; the
+        // trailing window ending at original index t is at full[t + (w-1)*2 - (w-1)] = full[t + w - 1].
+        full[w - 1..w - 1 + x.len()].to_vec()
+    }
 }
 
 /// Direct O(n·m) convolution — ground truth for tests and the `w/o FFT`
@@ -62,14 +107,7 @@ pub fn sliding_sum_fft(x: &[f64], w: usize) -> Vec<f64> {
     if x.is_empty() {
         return Vec::new();
     }
-    let mut padded = Vec::with_capacity(x.len() + w - 1);
-    padded.extend(std::iter::repeat_n(x[0], w - 1));
-    padded.extend_from_slice(x);
-    let kernel = vec![1.0; w];
-    let full = convolve_full(&padded, &kernel);
-    // Alignment: full[i] = Σ_j padded[i-j]·1 covers padded[i-w+1..=i]; the
-    // trailing window ending at original index t is at full[t + (w-1)*2 - (w-1)] = full[t + w - 1].
-    full[w - 1..w - 1 + x.len()].to_vec()
+    SlidingSumFft::new(x.len(), w).apply(x)
 }
 
 /// Same sliding sum computed with explicit loops (O(n·w)).

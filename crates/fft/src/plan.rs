@@ -3,8 +3,10 @@
 //!
 //! The detector issues thousands of identical-length transforms — the
 //! sliding-CV statistics of temporal masking (Eq. 4–5) transform every
-//! channel at the same padded length, and the frequency-mask DFT/IDFT
-//! (Eq. 6–10) runs at the window length for every window. Recomputing
+//! channel at the same padded length, and the frequency mask's forward DFT
+//! (Eq. 6–7) runs at the window length for every window the batch path
+//! masks and on every serving refresh hop. No inverse transform runs per
+//! window: the mask subtracts the masked bins' synthesis instead. Recomputing
 //! `cis(θ)` per butterfly dominated those transforms; a [`FftPlan`] does all
 //! trigonometry once per length and the per-call work becomes pure
 //! butterflies over table lookups.

@@ -7,6 +7,9 @@
 //! bin is mirrored into its conjugate twin on synthesis, so the inverse is
 //! always real-valued.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
+
 use crate::complex::Complex64;
 use crate::fft::{fft, ifft};
 
@@ -29,6 +32,10 @@ pub fn rfft(input: &[f64]) -> Vec<Complex64> {
 
 /// Inverse real FFT: reconstructs a length-`n` real signal from `n/2 + 1`
 /// half-spectrum bins, enforcing conjugate symmetry.
+///
+/// No serving or training path calls it: the frequency mask subtracts the
+/// masked bins' synthesis from the window instead. It stays as the oracle
+/// that masking tests compare against, as [`dft`](crate::dft::dft) does.
 ///
 /// # Panics
 /// Panics if `half.len() != rfft_len(n)`.
@@ -73,29 +80,45 @@ pub fn amplitude_spectrum(input: &[f64]) -> Vec<f64> {
 /// [`SlidingDft::init`] on a periodic refresh cadence (the serving engine
 /// defaults to every few dozen hops), which snaps the state back to an exact
 /// [`rfft`] of the retained window.
+///
+/// The twiddles depend on `n` alone, so every sliding DFT of one length
+/// shares one process-wide table: a stream of `D` channels holds `D`
+/// spectra and no twiddles of its own.
 #[derive(Clone, Debug)]
 pub struct SlidingDft {
     n: usize,
     /// Half-spectrum bins, length `n/2 + 1`.
     spec: Vec<Complex64>,
-    /// Per-bin advance twiddles `e^{+j·2πk/n}`.
-    twiddle: Vec<Complex64>,
+    /// Per-bin advance twiddles `e^{+j·2πk/n}`, shared per length.
+    twiddle: Arc<[Complex64]>,
     warm: bool,
+}
+
+/// The process-wide advance-twiddle table for window length `n`: repeated
+/// calls with the same length return clones of the same `Arc`.
+fn advance_twiddles(n: usize) -> Arc<[Complex64]> {
+    static TABLES: OnceLock<Mutex<HashMap<usize, Arc<[Complex64]>>>> = OnceLock::new();
+    let tables = TABLES.get_or_init(|| Mutex::new(HashMap::new()));
+    let mut tables = tables.lock().expect("sliding-DFT twiddle cache poisoned");
+    tables
+        .entry(n)
+        .or_insert_with(|| {
+            (0..rfft_len(n))
+                .map(|k| {
+                    let w = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                    let (s, c) = w.sin_cos();
+                    Complex64::new(c, s)
+                })
+                .collect()
+        })
+        .clone()
 }
 
 impl SlidingDft {
     /// Creates a cold sliding DFT for window length `n` (>= 1).
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "window length must be >= 1");
-        let bins = rfft_len(n);
-        let twiddle = (0..bins)
-            .map(|k| {
-                let w = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
-                let (s, c) = w.sin_cos();
-                Complex64::new(c, s)
-            })
-            .collect();
-        Self { n, spec: vec![Complex64::ZERO; bins], twiddle, warm: false }
+        Self { n, spec: vec![Complex64::ZERO; rfft_len(n)], twiddle: advance_twiddles(n), warm: false }
     }
 
     /// Window length `n`.
@@ -113,10 +136,10 @@ impl SlidingDft {
         self.warm
     }
 
-    /// Heap bytes held by the spectrum and twiddle tables (memory
-    /// accounting).
+    /// Heap bytes held by this window's spectrum (memory accounting). The
+    /// shared twiddle table belongs to no one window and is not counted.
     pub fn heap_bytes(&self) -> usize {
-        (self.spec.capacity() + self.twiddle.capacity()) * std::mem::size_of::<Complex64>()
+        self.spec.capacity() * std::mem::size_of::<Complex64>()
     }
 
     /// Seeds (or re-seeds) the spectrum with an exact [`rfft`] of `window`.
@@ -251,6 +274,42 @@ mod tests {
         }
         sd.reset();
         assert!(!sd.is_warm());
+    }
+
+    #[test]
+    fn sliding_dfts_of_one_length_share_one_twiddle_table() {
+        let (a, b) = (SlidingDft::new(100), SlidingDft::new(100));
+        assert!(Arc::ptr_eq(&a.twiddle, &b.twiddle));
+        assert!(!Arc::ptr_eq(&a.twiddle, &SlidingDft::new(101).twiddle));
+        // Only the spectrum is per-window memory.
+        assert_eq!(a.heap_bytes(), rfft_len(100) * std::mem::size_of::<Complex64>());
+    }
+
+    #[test]
+    fn shared_twiddles_slide_bitwise_like_a_local_table() {
+        for &n in &[7usize, 64, 100] {
+            let stream: Vec<f64> = (0..n + 5000).map(|t| (t as f64 * 0.29).sin() * 4.0 + (t % 13) as f64).collect();
+            let local: Vec<Complex64> = (0..rfft_len(n))
+                .map(|k| {
+                    let w = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                    let (s, c) = w.sin_cos();
+                    Complex64::new(c, s)
+                })
+                .collect();
+            let mut sd = SlidingDft::new(n);
+            sd.init(&stream[..n]);
+            let mut want = rfft(&stream[..n]);
+            for s in 0..5000 {
+                sd.slide(stream[s], stream[s + n]);
+                let delta = stream[s + n] - stream[s];
+                for (z, &t) in want.iter_mut().zip(&local) {
+                    *z = (*z + Complex64::from_re(delta)) * t;
+                }
+            }
+            for (k, (a, b)) in sd.spectrum().iter().zip(&want).enumerate() {
+                assert_eq!((a.re.to_bits(), a.im.to_bits()), (b.re.to_bits(), b.im.to_bits()), "n={n} bin {k}");
+            }
+        }
     }
 
     #[test]

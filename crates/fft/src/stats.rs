@@ -22,7 +22,7 @@
 //!   applies before masking. The paper's §IV-A1 scale-robustness claim
 //!   holds in that ranking sense, not as `cv(c·s) = cv(s)` pointwise.
 
-use crate::conv::{sliding_sum_fft, sliding_sum_naive};
+use crate::conv::{sliding_sum_fft, sliding_sum_naive, SlidingSumFft};
 
 /// Stabilizer for the mean denominator of the coefficient of variation.
 pub const CV_EPS: f64 = 1e-4;
@@ -72,13 +72,19 @@ pub fn sliding_cv_naive(x: &[f64], w: usize) -> Vec<f64> {
 }
 
 /// The trailing mean and the variance built on it (FFT path), so the CV
-/// computes its mean once.
+/// computes its mean once. `x` and `x²` share one transform of the ones
+/// kernel.
 fn mean_var_fft(x: &[f64], w: usize) -> (Vec<f64>, Vec<f64>) {
+    if x.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    let sums = SlidingSumFft::new(x.len(), w);
+    let inv = 1.0 / w as f64;
     let sq: Vec<f64> = x.iter().map(|&v| v * v).collect();
-    let mu = sliding_mean_fft(x, w);
-    let mut var = sliding_mean_fft(&sq, w);
+    let mu: Vec<f64> = sums.apply(x).into_iter().map(|v| v * inv).collect();
+    let mut var = sums.apply(&sq);
     for (v, &m) in var.iter_mut().zip(&mu) {
-        *v = (*v - m * m).max(0.0);
+        *v = (*v * inv - m * m).max(0.0);
     }
     (mu, var)
 }
