@@ -17,8 +17,10 @@
 //! and reports the median across blocks (robust to a preempted replay):
 //! a ratio above 1 means B is slower, printed as B's overhead in percent.
 //! The quartiles of the per-block overheads follow in brackets: a bound
-//! (say obs's 2%) is resolved only when it lies outside that spread.
-//! Rows/s are each side's best replay.
+//! is resolved only when it lies outside that spread. The obs line ends
+//! with its verdict on the 2% bound: `within 2%` or `over 2%` when both
+//! quartiles lie on one side of +2%, else `unresolved`. Rows/s are each
+//! side's best replay.
 //!
 //! `obs` is a bitwise determinism contract (test-asserted in
 //! `serving_parity`): every replay also compares the verdict scores of the
@@ -41,6 +43,9 @@ use tfmae_data::{render, Component, Detector, TimeSeries};
 use tfmae_tensor::Executor;
 
 const STREAMS: usize = 8;
+
+/// The obs contract: the enabled side costs at most this many percent.
+const OBS_BOUND_PCT: f64 = 2.0;
 
 fn series(len: usize, seed: u64) -> TimeSeries {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -135,16 +140,28 @@ fn abba(
     (a_best, b_best, [ratios[n / 4], ratios[n / 2], ratios[3 * n / 4]])
 }
 
-fn report(name: &str, threads: usize, sides: (&str, &str), (a, b, ratios): (f64, f64, [f64; 3])) {
+/// Where an overhead bound (in percent) stands against the quartiles of
+/// the per-block overheads: resolved only when both lie on one side of it.
+fn verdict(q1: f64, q3: f64, bound: f64) -> String {
+    if q3 < bound {
+        format!("within {bound}%")
+    } else if q1 > bound {
+        format!("over {bound}%")
+    } else {
+        "unresolved".to_string()
+    }
+}
+
+/// Prints one comparison's line, ending with its verdict on `bound` (in
+/// percent) when the comparison has one.
+fn report(name: &str, threads: usize, sides: (&str, &str), (a, b, ratios): (f64, f64, [f64; 3]), bound: Option<f64>) {
     let (a_name, b_name) = sides;
-    let [q1, ratio, q3] = ratios;
-    let pct = |r: f64| (r - 1.0) * 100.0;
+    let [q1, ratio, q3] = ratios.map(|r| (r - 1.0) * 100.0);
+    let verdict = bound.map(|bound| format!(" {}", verdict(q1, q3, bound))).unwrap_or_default();
     println!(
         "{name} (S={STREAMS}, {threads} threads): {a_name} {a:.0} rows/s, {b_name} {b:.0} rows/s, \
-         median paired ratio {ratio:.4}, overhead of {b_name} {:+.2}% [quartiles {:+.2}%, {:+.2}%]",
-        pct(ratio),
-        pct(q1),
-        pct(q3)
+         median paired ratio {:.4}, overhead of {b_name} {ratio:+.2}% [quartiles {q1:+.2}%, {q3:+.2}%]{verdict}",
+        ratios[1]
     );
 }
 
@@ -175,10 +192,23 @@ fn main() {
         },
     );
     tfmae_obs::set_enabled(false);
-    report("obs", threads, ("off", "on"), obs);
+    report("obs", threads, ("off", "on"), obs, Some(OBS_BOUND_PCT));
 
     let mut f32s = side(ServingConfig { precision: Precision::F32, ..base.clone() });
     let mut bf16 = side(ServingConfig { precision: Precision::Bf16, ..base });
     let quant = abba(blocks, false, || f32s.replay(), || bf16.replay());
-    report("bf16", threads, ("f32", "bf16"), quant);
+    report("bf16", threads, ("f32", "bf16"), quant, None);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::verdict;
+
+    #[test]
+    fn a_bound_is_resolved_only_outside_the_quartiles() {
+        assert_eq!(verdict(-1.0, 1.5, 2.0), "within 2%");
+        assert_eq!(verdict(2.5, 6.0, 2.0), "over 2%");
+        assert_eq!(verdict(0.5, 6.0, 2.0), "unresolved");
+        assert_eq!(verdict(-1.0, 2.0, 2.0), "unresolved", "a quartile on the bound is on neither side");
+    }
 }

@@ -18,6 +18,10 @@ use crate::config::TfmaeConfig;
 use crate::model::{BatchInputs, TfmaeModel};
 use crate::robust::{TrainGuard, TrainReport, MAX_RETRIES_PER_BATCH};
 
+/// XOR salt that sets the scoring-time mask RNG apart from the training
+/// streams seeded from the same `cfg.seed`.
+const SCORE_MASK_SALT: u64 = 0x5c0e;
+
 /// TFMAE wrapped as a [`Detector`] with the paper's training protocol.
 pub struct TfmaeDetector {
     /// Hyper-parameters (frozen at `fit` time).
@@ -101,6 +105,24 @@ impl TfmaeDetector {
     /// The quantized weight store, when serving at reduced precision.
     pub fn quant(&self) -> Option<&QuantStore> {
         self.quant.as_ref()
+    }
+
+    /// The scoring pass's context on tape `g`: the fitted weights, read
+    /// through their quantized copies when a serving precision is set.
+    /// Offline scoring and the serving engine both score through it.
+    pub(crate) fn eval_ctx<'a>(&'a self, g: &'a Graph) -> Ctx<'a> {
+        let ps = &self.model.as_ref().expect("fit before score").ps;
+        match &self.quant {
+            Some(q) => Ctx::eval_quant(g, ps, q),
+            None => Ctx::eval(g, ps),
+        }
+    }
+
+    /// The RNG the random mask variants draw from at scoring time: seeded
+    /// from `cfg.seed` and [`SCORE_MASK_SALT`], once per offline scoring
+    /// call and once per window in the serving engine.
+    pub(crate) fn score_mask_rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.cfg.seed ^ SCORE_MASK_SALT)
     }
 
     /// Switches the detector to a serving precision. `F32` is a no-op on an
@@ -233,7 +255,7 @@ impl TfmaeDetector {
     ) -> (Vec<f32>, Vec<f32>) {
         let t = self.cfg.win_len;
         let windows = extract_windows(series, t, t);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5c0e);
+        let mut rng = self.score_mask_rng();
         // Fold each component straight out of the batch output buffers;
         // `score_normalized` combines them with *series-global* means so
         // batch boundaries leave no seams.
@@ -246,10 +268,7 @@ impl TfmaeDetector {
             g.reset();
             let b = starts.len();
             let batch = model.prepare_batch(values, b, &mut rng);
-            let ctx = match &self.quant {
-                Some(q) => Ctx::eval_quant(&g, &model.ps, q),
-                None => Ctx::eval(&g, &model.ps),
-            };
+            let ctx = self.eval_ctx(&g);
             let out = model.forward(&ctx, &batch);
             let (kl, dual) = model.anomaly_score_components(&ctx, &out);
             for (wi, &start) in starts.iter().enumerate() {

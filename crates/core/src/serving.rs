@@ -84,10 +84,8 @@
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use tfmae_data::TimeSeries;
 use tfmae_fft::{Complex64, RollingStats, SlidingDft, CV_EPS};
-use tfmae_nn::Ctx;
 use tfmae_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use tfmae_tensor::{gated_min_chunk, ExecStats, Executor, Graph, Precision, QuantStore};
 
@@ -204,11 +202,6 @@ pub struct ServingConfig {
     /// price of a full `temporal_statistic` + rfft per refresh; `1` refreshes
     /// every hop.
     pub refresh_every: usize,
-    /// When `false`, masks are recomputed from scratch each hop via the
-    /// batch path (`TfmaeModel::window_masks`). Serving always runs
-    /// incrementally; the from-scratch path is the reference the
-    /// `serving_parity` tests compare the incremental masking state against.
-    pub incremental: bool,
     /// Drift adaptation (threshold recalibration, background fine-tune,
     /// guard-band rollback). **Off** by default; with
     /// `adaptation.enabled == false` verdicts are bitwise identical to the
@@ -229,14 +222,13 @@ pub struct ServingConfig {
 }
 
 impl ServingConfig {
-    /// Defaults: degraded mode on, refresh every 64 hops, incremental state,
-    /// f32 weights, adaptation off.
+    /// Defaults: degraded mode on, refresh every 64 hops, f32 weights,
+    /// adaptation off.
     pub fn new(threshold: f32, hop: usize) -> Self {
         Self {
             threshold,
             hop,
             refresh_every: 64,
-            incremental: true,
             adaptation: AdaptationConfig::default(),
             precision: Precision::F32,
             shards: 1,
@@ -1149,7 +1141,6 @@ fn ingest_row(
     // Buffer the sanitized row: normalize, write into the ring, advance
     // the incremental accumulators.
     let temporal_kind = det.cfg.temporal_mask;
-    let incremental = cfg.incremental;
     static IMPUTED_ROWS: LazyCounter = LazyCounter::new("serve.imputed_rows");
     static DEGRADED_ROWS: LazyCounter = LazyCounter::new("serve.degraded_rows");
     match quality {
@@ -1165,31 +1156,27 @@ fn ingest_row(
     }
     let slot = s.head;
     // Slide the spectra before the evicted sample is overwritten.
-    let slide = incremental && s.filled == win_len && s.sdft[0].is_warm();
+    let slide = s.filled == win_len && s.sdft[0].is_warm();
     let cells = s.ring[slot * dims..(slot + 1) * dims].iter_mut();
     let channels = cells.zip(&s.last_good).zip(norm.mean.iter().zip(&norm.std));
     for (n, ((cell, good), (&mean, &std))) in channels.enumerate() {
         // The sanitized value: the sample itself, or the last good value
         // it is imputed with (0.0 for a channel that never produced one).
         let v = (good.unwrap_or(0.0) - mean) / std;
-        if incremental {
-            if slide {
-                s.sdft[n].slide(*cell as f64, v as f64);
-            }
-            s.roll[n].push(v as f64);
+        if slide {
+            s.sdft[n].slide(*cell as f64, v as f64);
         }
+        s.roll[n].push(v as f64);
         *cell = v;
     }
-    if incremental {
-        // Trailing statistic ending at this sample; meaningful once the
-        // rolling window holds `cv_window` real samples, which covers
-        // every window position whose trailing sub-sequence needs it.
-        s.stat_ring[slot] = match temporal_kind {
-            TemporalMaskKind::Cv => s.roll.iter().map(|r| r.cv()).sum(),
-            TemporalMaskKind::Std => s.roll.iter().map(|r| r.var().sqrt()).sum(),
-            TemporalMaskKind::Random | TemporalMaskKind::None => 0.0,
-        };
-    }
+    // Trailing statistic ending at this sample; meaningful once the
+    // rolling window holds `cv_window` real samples, which covers every
+    // window position whose trailing sub-sequence needs it.
+    s.stat_ring[slot] = match temporal_kind {
+        TemporalMaskKind::Cv => s.roll.iter().map(|r| r.cv()).sum(),
+        TemporalMaskKind::Std => s.roll.iter().map(|r| r.var().sqrt()).sum(),
+        TemporalMaskKind::Random | TemporalMaskKind::None => 0.0,
+    };
     s.quals[slot] = quality;
     s.head = (s.head + 1) % win_len;
     if s.filled < win_len {
@@ -1223,28 +1210,19 @@ fn ingest_row(
     };
     let window_clean = s.quals.iter().all(|&q| q == DataQuality::Clean);
 
-    let mut rng = StdRng::seed_from_u64(det.cfg.seed ^ 0x5c0e);
-    let (mask_t, mask_f) = if !incremental {
-        // From-scratch baseline: the exact batch masking path per hop.
-        let model = det.model().expect("checked at construction");
-        model.window_masks(&values, &mut rng)
-    } else {
-        let refresh =
-            s.hops_since_refresh == 0 || s.hops_since_refresh >= cfg.refresh_every;
-        if refresh {
-            static SDFT_REFRESHES: LazyCounter = LazyCounter::new("serve.sdft_refreshes");
-            SDFT_REFRESHES.inc();
-        }
-        // Once per staged window: the hop's statistic, spectra and mask
-        // synthesis, the part of ingest a buffered row never pays.
-        static MASKS_SPAN: LazyHistogram = LazyHistogram::new("serve.ingest.masks_ns");
-        let masks = {
-            let _span = MASKS_SPAN.enter();
-            incremental_masks(&det.cfg, s, &values, dims, refresh, &mut rng)
-        };
-        s.hops_since_refresh = if refresh { 1 } else { s.hops_since_refresh + 1 };
-        masks
+    let refresh = s.hops_since_refresh == 0 || s.hops_since_refresh >= cfg.refresh_every;
+    if refresh {
+        static SDFT_REFRESHES: LazyCounter = LazyCounter::new("serve.sdft_refreshes");
+        SDFT_REFRESHES.inc();
+    }
+    // Once per staged window: the hop's statistic, spectra and mask
+    // synthesis, the part of ingest a buffered row never pays.
+    static MASKS_SPAN: LazyHistogram = LazyHistogram::new("serve.ingest.masks_ns");
+    let (mask_t, mask_f) = {
+        let _span = MASKS_SPAN.enter();
+        incremental_masks(&det.cfg, s, &values, dims, refresh, &mut det.score_mask_rng())
     };
+    s.hops_since_refresh = if refresh { 1 } else { s.hops_since_refresh + 1 };
 
     static WINDOWS: LazyCounter = LazyCounter::new("serve.windows");
     WINDOWS.inc();
@@ -1299,10 +1277,7 @@ fn score_chunk(
         meta.push((p.stream, p.base_t, p.newest, p.qualities, p.frozen, p.calib));
     }
     let batch = crate::model::BatchInputs { values, b, masks_t, masks_f };
-    let ctx = match det.quant() {
-        Some(q) => Ctx::eval_quant(g, &model.ps, q),
-        None => Ctx::eval(g, &model.ps),
-    };
+    let ctx = det.eval_ctx(g);
     let fwd = model.forward(&ctx, &batch);
     let (kl, dual) = model.anomaly_score_components(&ctx, &fwd);
     let mut out = Vec::new();
@@ -1845,23 +1820,35 @@ mod tests {
     }
 
     #[test]
-    fn from_scratch_mode_matches_incremental_on_refresh_hop() {
-        // Exactly one hop fires (hop = win_len, win_len rows): the first
-        // score after warm-up is a refresh hop, where the incremental path
-        // re-seeds through the exact batch path and must match bitwise.
-        let det = fitted();
-        let win = det.cfg.win_len;
-        let data = series(win, 7);
-        let run = |det: TfmaeDetector, incremental: bool| {
-            let mut cfg = ServingConfig::new(f32::MAX, win);
-            cfg.incremental = incremental;
-            push_all(&mut one_stream(det, cfg), &data)
-        };
-        let inc = run(replicate(&det), true);
-        let scratch = run(det, false);
-        assert_eq!(inc.len(), scratch.len());
-        for (a, b) in inc.iter().zip(scratch.iter()) {
-            assert_eq!(a.score, b.score, "refresh hop must be bitwise");
+    fn refresh_hop_masks_are_bitwise_the_batch_masks() {
+        // A refresh hop re-derives the statistic and the spectra through the
+        // exact batch path, so its masks are `window_masks`' to the bit. The
+        // serving_parity suites rely on this when they take an engine that
+        // refreshes every hop as the from-scratch reference.
+        use crate::config::FreqMaskKind;
+        use crate::model::TfmaeModel;
+        let dims = 3;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for patch_len in [1, 4] {
+            for temporal_mask in [TemporalMaskKind::Cv, TemporalMaskKind::Std, TemporalMaskKind::Random] {
+                for freq_mask in [FreqMaskKind::Amplitude, FreqMaskKind::HighFreq, FreqMaskKind::Random] {
+                    let cfg = TfmaeConfig { patch_len, temporal_mask, freq_mask, ..TfmaeConfig::tiny() };
+                    let case = format!("P={patch_len} {temporal_mask:?}/{freq_mask:?}");
+                    let win = cfg.win_len;
+                    let values: Vec<f32> =
+                        (0..win * dims).map(|i| (i as f32 * 0.37).sin() + (i % 7) as f32 * 0.1).collect();
+                    let mut s = StreamState::new(win, dims, cfg.cv_window);
+                    let (got_t, got_f) =
+                        incremental_masks(&cfg, &mut s, &values, dims, true, &mut StdRng::seed_from_u64(5));
+                    let model = TfmaeModel::new(cfg, dims);
+                    let (want_t, want_f) = model.window_masks(&values, &mut StdRng::seed_from_u64(5));
+                    assert_eq!(got_t, want_t, "{case}: temporal mask");
+                    assert_eq!(got_f.masked_bins, want_f.masked_bins, "{case}: masked bins");
+                    assert_eq!(bits(&got_f.base), bits(&want_f.base), "{case}: base");
+                    assert_eq!(bits(&got_f.a), bits(&want_f.a), "{case}: A");
+                    assert_eq!(bits(&got_f.b), bits(&want_f.b), "{case}: B");
+                }
+            }
         }
     }
 

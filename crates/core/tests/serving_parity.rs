@@ -2,11 +2,13 @@
 //!
 //! Three contracts, in increasing strictness:
 //!
-//! 1. **Incremental ≈ from-scratch** — with `incremental: true` the masks
-//!    come from rolling statistics and a sliding DFT that are exactly
-//!    re-seeded every `refresh_every` hops; verdict scores must stay within
-//!    1e-5 of the from-scratch baseline *between* refreshes and match it
-//!    bitwise *on* refresh hops.
+//! 1. **Incremental ≈ from-scratch** — the masks come from rolling
+//!    statistics and a sliding DFT that are exactly re-seeded every
+//!    `refresh_every` hops; verdict scores must stay within 1e-5 of an
+//!    engine that re-seeds every hop *between* refreshes and match it
+//!    bitwise *on* refresh hops. A refresh hop's masks are the batch path's
+//!    bit for bit (a unit test in `serving.rs`), and an engine at
+//!    `refresh_every = 1` matches fresh engines that each see one window.
 //! 2. **Batched = solo** — N streams ticked through one engine must agree
 //!    bitwise with N independent single-stream engines: the forward kernels
 //!    are batch-invariant, so a window scores the same bits in any chunk.
@@ -62,6 +64,29 @@ fn run_engine(det: TfmaeDetector, cfg: ServingConfig, data: &TimeSeries) -> Vec<
     (0..data.len()).flat_map(|t| push(&mut eng, id, data.row(t))).collect()
 }
 
+/// The from-scratch reference for `cfg`: the same engine re-seeding its
+/// masking state through the exact batch path on every hop.
+fn every_hop_exact(cfg: &ServingConfig) -> ServingConfig {
+    ServingConfig { refresh_every: 1, ..cfg.clone() }
+}
+
+/// Verdicts of one fresh single-stream engine per hop, each fed only the
+/// `win_len` rows of that hop's window, so no state crosses hops and every
+/// window is its engine's first: a refresh hop.
+fn fresh_engine_per_window(det: &TfmaeDetector, hop: usize, data: &TimeSeries) -> Vec<StreamVerdict> {
+    let win = det.cfg.win_len;
+    let mut out = Vec::new();
+    for end in (win..=data.len()).step_by(hop) {
+        let mut eng = ServingEngine::new(replicate(det), ServingConfig::new(f32::MAX, hop));
+        let id = eng.add_stream();
+        for t in end - win..end {
+            let shift = (end - win) as u64;
+            out.extend(push(&mut eng, id, data.row(t)).into_iter().map(|v| StreamVerdict { t: v.t + shift, ..v }));
+        }
+    }
+    out
+}
+
 #[test]
 fn incremental_tracks_from_scratch_within_1e5_across_refresh_cadence() {
     let det = fitted();
@@ -71,8 +96,7 @@ fn incremental_tracks_from_scratch_within_1e5_across_refresh_cadence() {
     let data = series(win + 40, 42);
     let mut inc_cfg = ServingConfig::new(f32::MAX, 2);
     inc_cfg.refresh_every = 4;
-    let mut scratch_cfg = inc_cfg.clone();
-    scratch_cfg.incremental = false;
+    let scratch_cfg = every_hop_exact(&inc_cfg);
 
     let inc = run_engine(replicate(&det), inc_cfg, &data);
     let scratch = run_engine(det, scratch_cfg, &data);
@@ -101,8 +125,7 @@ fn refresh_hops_are_bitwise_identical_to_from_scratch() {
     let data = series(win + hop * refresh_every * 3, 43);
     let mut inc_cfg = ServingConfig::new(f32::MAX, hop);
     inc_cfg.refresh_every = refresh_every;
-    let mut scratch_cfg = inc_cfg.clone();
-    scratch_cfg.incremental = false;
+    let scratch_cfg = every_hop_exact(&inc_cfg);
 
     let inc = run_engine(replicate(&det), inc_cfg, &data);
     let scratch = run_engine(det, scratch_cfg, &data);
@@ -128,21 +151,20 @@ fn refresh_hops_are_bitwise_identical_to_from_scratch() {
 
 #[test]
 fn refresh_every_one_is_always_bitwise() {
-    // refresh_every = 1 degenerates to the exact path every hop: the
-    // incremental engine must equal from-scratch bitwise everywhere.
+    // refresh_every = 1 degenerates to the exact path every hop: a
+    // long-lived engine must carry nothing between hops that reaches a
+    // score, so it equals fresh engines that each see one window.
     let det = fitted();
     let win = det.cfg.win_len;
     let data = series(win + 24, 44);
-    let mut inc_cfg = ServingConfig::new(f32::MAX, 3);
-    inc_cfg.refresh_every = 1;
-    let mut scratch_cfg = inc_cfg.clone();
-    scratch_cfg.incremental = false;
+    let inc_cfg = every_hop_exact(&ServingConfig::new(f32::MAX, 3));
 
     let inc = run_engine(replicate(&det), inc_cfg, &data);
-    let scratch = run_engine(det, scratch_cfg, &data);
+    let scratch = fresh_engine_per_window(&det, 3, &data);
     assert_eq!(inc.len(), scratch.len());
     assert!(!inc.is_empty());
     for (a, b) in inc.iter().zip(scratch.iter()) {
+        assert_eq!(a.t, b.t);
         assert_eq!(a.score, b.score, "t={}", a.t);
     }
 }
@@ -159,15 +181,14 @@ fn fitted_patched(patch_len: usize) -> TfmaeDetector {
 fn patched_incremental_tracks_from_scratch() {
     // Same contract as the unpatched suite, at P = 4: rolling statistics
     // stay at row resolution and are folded to patch tokens only at mask
-    // selection, so the incremental path must match from-scratch bitwise on
-    // refresh hops and within 1e-5 between them.
+    // selection, so the incremental path must stay within 1e-5 of an
+    // engine that re-seeds every hop.
     let det = fitted_patched(4);
     let win = det.cfg.win_len;
     let data = series(win + 40, 142);
     let mut inc_cfg = ServingConfig::new(f32::MAX, 2);
     inc_cfg.refresh_every = 4;
-    let mut scratch_cfg = inc_cfg.clone();
-    scratch_cfg.incremental = false;
+    let scratch_cfg = every_hop_exact(&inc_cfg);
 
     let inc = run_engine(replicate(&det), inc_cfg, &data);
     let scratch = run_engine(det, scratch_cfg, &data);
@@ -190,16 +211,14 @@ fn patched_refresh_every_one_is_always_bitwise() {
     let det = fitted_patched(4);
     let win = det.cfg.win_len;
     let data = series(win + 24, 143);
-    let mut inc_cfg = ServingConfig::new(f32::MAX, 3);
-    inc_cfg.refresh_every = 1;
-    let mut scratch_cfg = inc_cfg.clone();
-    scratch_cfg.incremental = false;
+    let inc_cfg = every_hop_exact(&ServingConfig::new(f32::MAX, 3));
 
     let inc = run_engine(replicate(&det), inc_cfg, &data);
-    let scratch = run_engine(det, scratch_cfg, &data);
+    let scratch = fresh_engine_per_window(&det, 3, &data);
     assert_eq!(inc.len(), scratch.len());
     assert!(!inc.is_empty());
     for (a, b) in inc.iter().zip(scratch.iter()) {
+        assert_eq!(a.t, b.t);
         assert_eq!(a.score, b.score, "t={}", a.t);
     }
 }

@@ -65,11 +65,6 @@ impl TimeSeries {
         &self.data
     }
 
-    /// Mutable raw values.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Value of feature `n` at time `t`.
     #[inline]
     pub fn get(&self, t: usize, n: usize) -> f32 {

@@ -83,12 +83,6 @@ impl PatchEmbed {
         Self { proj, mask_token, recon, patch_len, dims, d_model }
     }
 
-    /// Token count for a window of `win_len` rows.
-    pub fn num_tokens(&self, win_len: usize) -> usize {
-        debug_assert_eq!(win_len % self.patch_len, 0);
-        win_len / self.patch_len
-    }
-
     /// `[B, T, N] → [B, T/P, P·N]`: groups `P` consecutive rows into one
     /// token. Row-major layout makes this a pure reshape; a no-op at `P = 1`
     /// (no tape node is added, preserving the legacy op sequence bitwise).

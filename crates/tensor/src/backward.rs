@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use crate::exec::Executor;
 use crate::graph::{lhs_rows_cols, permute_runs, Graph, Node, Op, Var, LN_EPS};
-use crate::kernels;
+use crate::kernels::{self, Heads, Mkn};
 use crate::shape::{broadcast_strides, numel, StridedIter};
 use crate::store::ParamStore;
 
@@ -151,18 +151,18 @@ impl Graph {
         match &node.op {
             Op::Const | Op::Param(_) => {}
             Op::Add(a, b) => {
-                self.binary_backward(nodes, grads, *a, *b, &node.shape, gout, |g, _, _| (g, g));
+                self.binary_backward(nodes, grads, [*a, *b], &node.shape, gout, |g, _, _| (g, g));
             }
             Op::Sub(a, b) => {
-                self.binary_backward(nodes, grads, *a, *b, &node.shape, gout, |g, _, _| (g, -g));
+                self.binary_backward(nodes, grads, [*a, *b], &node.shape, gout, |g, _, _| (g, -g));
             }
             Op::Mul(a, b) => {
-                self.binary_backward(nodes, grads, *a, *b, &node.shape, gout, |g, x, y| {
+                self.binary_backward(nodes, grads, [*a, *b], &node.shape, gout, |g, x, y| {
                     (g * y, g * x)
                 });
             }
             Op::Div(a, b) => {
-                self.binary_backward(nodes, grads, *a, *b, &node.shape, gout, |g, x, y| {
+                self.binary_backward(nodes, grads, [*a, *b], &node.shape, gout, |g, x, y| {
                     (g / y, -g * x / (y * y))
                 });
             }
@@ -197,32 +197,26 @@ impl Graph {
             Op::AddScalar(a, _) => {
                 self.unary_backward(nodes, grads, *a, gout, |g, _x, _y| g, &node.value)
             }
-            Op::Matmul(a, b) => {
-                let (m, k) = lhs_rows_cols(&nodes[*a].shape);
-                let n = nodes[*b].shape[1];
+            Op::Matmul(a, b) | Op::Bmm(a, b) => {
+                // The 2-D matmul (leading axes folded into rows) is one batch.
+                let (bsz, m, k, n) = if let Op::Bmm(..) = &node.op {
+                    let sa = &nodes[*a].shape;
+                    (sa[0], sa[1], sa[2], nodes[*b].shape[2])
+                } else {
+                    let (m, k) = lhs_rows_cols(&nodes[*a].shape);
+                    (1, m, k, nodes[*b].shape[1])
+                };
                 if nodes[*a].needs_grad {
-                    let bval = &nodes[*b].value;
-                    let ga = zeroed_slot(exec, grads, *a, m * k);
-                    kernels::par_bmm_acc_nt(exec, gout, bval, 1, m, k, n, ga);
-                }
-                if nodes[*b].needs_grad {
-                    let aval = &nodes[*a].value;
-                    let gb = zeroed_slot(exec, grads, *b, k * n);
-                    kernels::par_bmm_acc_tn(exec, aval, gout, 1, m, k, n, gb);
-                }
-            }
-            Op::Bmm(a, b) => {
-                let (bsz, m, k) = (nodes[*a].shape[0], nodes[*a].shape[1], nodes[*a].shape[2]);
-                let n = nodes[*b].shape[2];
-                if nodes[*a].needs_grad {
+                    // dA += dC·Bᵀ
                     let bval = &nodes[*b].value;
                     let ga = zeroed_slot(exec, grads, *a, bsz * m * k);
-                    kernels::par_bmm_acc_nt(exec, gout, bval, bsz, m, k, n, ga);
+                    kernels::par_bmm::<false, true>(exec, gout, bval, bsz, Mkn { m, k: n, n: k }, ga);
                 }
                 if nodes[*b].needs_grad {
+                    // dB += Aᵀ·dC
                     let aval = &nodes[*a].value;
                     let gb = zeroed_slot(exec, grads, *b, bsz * k * n);
-                    kernels::par_bmm_acc_tn(exec, aval, gout, bsz, m, k, n, gb);
+                    kernels::par_bmm::<true, false>(exec, aval, gout, bsz, Mkn { m: k, k: m, n }, gb);
                 }
             }
             Op::TransposeLast(a) => {
@@ -354,18 +348,10 @@ impl Graph {
                     let mut dv = exec.alloc_zeroed(bsz * tk * d);
                     kernels::par_attention_backward(
                         exec,
-                        &nodes[q].value,
-                        &nodes[k].value,
-                        &nodes[v].value,
+                        [&nodes[q].value, &nodes[k].value, &nodes[v].value],
                         gout,
-                        bsz,
-                        tq,
-                        tk,
-                        d,
-                        scale,
-                        &mut dq,
-                        &mut dk,
-                        &mut dv,
+                        Heads { bsz, tq, tk, d, scale },
+                        [&mut dq, &mut dk, &mut dv],
                     );
                     for (id, tmp) in [(q, &dq), (k, &dk), (v, &dv)] {
                         if nodes[id].needs_grad {
@@ -471,15 +457,14 @@ impl Graph {
         add_at(ga, 0, gout.iter().zip(xs).zip(out_value).map(|((&g, &x), &y)| f(g, x, y)));
     }
 
-    /// Shared backward for broadcasting binary ops. `f(g, x, y)` returns the
-    /// per-element `(dL/dx, dL/dy)` contributions.
-    #[allow(clippy::too_many_arguments)]
+    /// Shared backward for broadcasting binary ops on the operand nodes
+    /// `[a, b]`. `f(g, x, y)` returns the per-element `(dL/dx, dL/dy)`
+    /// contributions.
     fn binary_backward(
         &self,
         nodes: &[Node],
         grads: &mut [Option<Vec<f32>>],
-        a: usize,
-        b: usize,
+        [a, b]: [usize; 2],
         out_shape: &[usize],
         gout: &[f32],
         f: impl Fn(f32, f32, f32) -> (f32, f32),

@@ -24,7 +24,7 @@ pub fn numeric_param_grads(
     for pi in 0..store.len() {
         let n = store.params()[pi].data.len();
         let mut grads = vec![0.0f32; n];
-        for i in 0..n {
+        for (i, grad) in grads.iter_mut().enumerate() {
             let orig = store.params()[pi].data[i];
             store.params_mut()[pi].data[i] = orig + eps;
             let g = Graph::new();
@@ -33,7 +33,7 @@ pub fn numeric_param_grads(
             let g = Graph::new();
             let down = g.scalar_value(build(&g, store));
             store.params_mut()[pi].data[i] = orig;
-            grads[i] = (up - down) / (2.0 * eps);
+            *grad = (up - down) / (2.0 * eps);
         }
         out.push(grads);
     }

@@ -16,7 +16,7 @@ use std::time::Instant;
 use tfmae_obs::LazyCounter;
 
 use crate::exec::Executor;
-use crate::kernels;
+use crate::kernels::{self, Heads, Mkn};
 use crate::quant::QuantParam;
 use crate::shape::{
     broadcast_shapes, broadcast_strides, broadcastable_to, fmt_shape, numel, strides, StridedIter,
@@ -261,11 +261,6 @@ impl Graph {
     /// The executor backing this graph.
     pub fn executor(&self) -> &Executor {
         &self.exec
-    }
-
-    /// A clone of the executor handle (for sharing with another graph).
-    pub fn executor_arc(&self) -> Arc<Executor> {
-        self.exec.clone()
     }
 
     /// Clears the tape, returning every node-value buffer to the executor's
@@ -607,7 +602,7 @@ impl Graph {
             let (k2, n) = (nb.shape[0], nb.shape[1]);
             assert_eq!(k, k2, "matmul inner dims: {} vs {}", fmt_shape(&na.shape), fmt_shape(&nb.shape));
             let mut value = self.exec.alloc_zeroed(m * n);
-            kernels::par_matmul(&self.exec, &na.value, &nb.value, m, k, n, &mut value);
+            kernels::par_matmul(&self.exec, &na.value, &nb.value, Mkn { m, k, n }, &mut value);
             (value, matmul_out_shape(&na.shape, n), na.needs_grad || nb.needs_grad)
         };
         self.push(value, out_shape, Op::Matmul(a.id, b.id), needs)
@@ -642,7 +637,7 @@ impl Graph {
             );
             let n = w.shape[1];
             let mut value = self.exec.alloc_zeroed(m * n);
-            kernels::matmul_quant(&self.exec, &na.value, &w.data, m, k, n, &mut value);
+            kernels::matmul_quant(&self.exec, &na.value, &w.data, Mkn { m, k, n }, &mut value);
             (value, matmul_out_shape(&na.shape, n))
         };
         self.push(value, out_shape, Op::Const, false)
@@ -660,7 +655,7 @@ impl Graph {
             let (b2, k2, n) = (nb.shape[0], nb.shape[1], nb.shape[2]);
             assert!(bsz == b2 && k == k2, "bmm shapes: {} vs {}", fmt_shape(&na.shape), fmt_shape(&nb.shape));
             let mut value = self.exec.alloc_zeroed(bsz * m * n);
-            kernels::par_bmm(&self.exec, &na.value, &nb.value, bsz, m, k, n, &mut value);
+            kernels::par_bmm::<false, false>(&self.exec, &na.value, &nb.value, bsz, Mkn { m, k, n }, &mut value);
             (value, vec![bsz, m, n], na.needs_grad || nb.needs_grad)
         };
         self.push(value, out_shape, Op::Bmm(a.id, b.id), needs)
@@ -698,9 +693,8 @@ impl Graph {
                 fmt_shape(&nv.shape)
             );
             let mut value = self.exec.alloc_zeroed(bsz * tq * d);
-            kernels::par_attention(
-                &self.exec, &nq.value, &nk.value, &nv.value, bsz, tq, tk, d, scale, &mut value,
-            );
+            let heads = Heads { bsz, tq, tk, d, scale };
+            kernels::par_attention(&self.exec, [&nq.value, &nk.value, &nv.value], heads, &mut value);
             (value, vec![bsz, tq, d], nq.needs_grad || nk.needs_grad || nv.needs_grad)
         };
         static FUSED_ATTENTION: LazyCounter = LazyCounter::new("tensor.fused.attention");
@@ -743,16 +737,6 @@ impl Graph {
         static FUSED_BIAS_ACT: LazyCounter = LazyCounter::new("tensor.fused.bias_act");
         FUSED_BIAS_ACT.inc();
         self.push(value, shape, Op::BiasAct { x: x.id, bias: bias.id, kind }, needs)
-    }
-
-    /// Fused `relu(x + bias)` — see [`Graph::bias_act`].
-    pub fn bias_relu(&self, x: Var, bias: Var) -> Var {
-        self.bias_act(x, bias, kernels::ActKind::Relu)
-    }
-
-    /// Fused `gelu(x + bias)` — see [`Graph::bias_act`].
-    pub fn bias_gelu(&self, x: Var, bias: Var) -> Var {
-        self.bias_act(x, bias, kernels::ActKind::Gelu)
     }
 
     /// Fused `a ⊙ b + c` where `b` and `c` are same-shaped trailing-axes

@@ -1,10 +1,13 @@
 //! Dense compute kernels shared by the forward and backward passes.
 //!
-//! All matrices are row-major slices. Two kernel families coexist:
+//! All matrices are row-major slices. Every dense product is one
+//! [`Mkn`] shape run through one row function, `gemm_rows`, generic over
+//! the operands' layout; `Mkn::blocked` picks one of two kernel families
+//! for it:
 //!
-//! * **Direct kernels** (`matmul_rows` etc.): the i-k-j rank-1 / dot loops
-//!   from PR 2, used for problems too small to amortize packing.
-//! * **Blocked kernels** (`gemm_rows`): a cache-blocked, register-tiled
+//! * **Direct kernels** (`nn_rows`, `nt_rows`, `tn_rows`): the i-k-j
+//!   rank-1 / dot loops, used for problems too small to amortize packing.
+//! * **Blocked kernels** (`gebp_rows`): a cache-blocked, register-tiled
 //!   micro-kernel — A strips and B panels are packed into contiguous
 //!   scratch, then an `MR×NR` inner kernel accumulates the tile in
 //!   registers. One GEBP driver, generic over the tile, runs every blocked
@@ -27,6 +30,7 @@
 //! shard, so serial and parallel always pick the same path.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use tfmae_obs::LazyCounter;
 
@@ -103,25 +107,50 @@ const BLOCKED_MIN_MULS: usize = 8 * 1024;
 /// ISA picks never moves a bit.
 const BLOCKED_MIN_DIM: usize = 16;
 
-/// Blocked GEBP pays only when the inner dimension amortizes the panel
-/// packing (`k ≥ 16`), a 16-wide panel is filled (`n ≥ 16`), and the
-/// problem is big enough overall. Skinny products — e.g. per-head attention
-/// scores with `Dh = 8`, or 2-wide feature lifts — stay on the direct
-/// kernels, which double as the bitwise-stable pre-overhaul paths.
-fn use_blocked(m: usize, k: usize, n: usize) -> bool {
-    use_blocked_rows(k, n) && m.saturating_mul(k).saturating_mul(n) >= BLOCKED_MIN_MULS
+/// The shape of one product `C[m×n] += Aeff[m×k] · Beff[k×n]`, in effective
+/// terms: a transposed operand is read through its layout flag (`TA`/`TB`
+/// of `gemm_rows`), never copied.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mkn {
+    /// Output rows.
+    pub m: usize,
+    /// Shared (summed) dimension.
+    pub k: usize,
+    /// Output width.
+    pub n: usize,
 }
 
-/// Path choice for the forward row-sharded products ([`par_matmul`],
-/// [`matmul_quant`]), whose row count `m` is the batch's
-/// rows: it reads `k` and `n` only, so a row's bits never depend on how
-/// many other rows share the call. Both kernels compute each output row
-/// from that row of `A` alone, so with the path fixed per `(k, n)` a
-/// serving window scores the same bits in any batch (DESIGN.md §18).
-/// The backward accumulators keep [`use_blocked`]: their first argument is
-/// a reduction dimension, not a batch of independent rows.
-fn use_blocked_rows(k: usize, n: usize) -> bool {
-    k >= BLOCKED_MIN_DIM && n >= BLOCKED_MIN_DIM
+/// Which part of the shape picks a product's path (see [`Mkn::blocked`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Policy {
+    /// The forward row products ([`par_matmul`], [`matmul_quant`]), whose
+    /// `m` is the batch's rows: `k` and `n` only, so a row's bits never
+    /// depend on how many other rows share the call. Both compute each
+    /// output row from that row of `A` alone, so a serving window scores
+    /// the same bits in any batch (DESIGN.md §18).
+    Rows,
+    /// Every other product (batched `bmm`, attention's per-head products
+    /// and the backward accumulators): the whole shape, so products too
+    /// small to amortize packing stay direct.
+    Shape,
+}
+
+impl Mkn {
+    /// Whether this product runs the blocked GEBP rather than its direct
+    /// loop. Blocked GEBP pays only when the inner dimension amortizes the
+    /// panel packing (`k ≥ 16`), a 16-wide panel is filled (`n ≥ 16`) and,
+    /// under [`Policy::Shape`], the problem is big enough overall. Skinny
+    /// products — e.g. per-head attention scores with `Dh = 8`, or 2-wide
+    /// feature lifts — stay on the direct kernels. Every product picks its
+    /// path here, from the global shape and never a shard's, so serial and
+    /// parallel runs take the same path.
+    fn blocked(self, policy: Policy) -> bool {
+        let wide = self.k >= BLOCKED_MIN_DIM && self.n >= BLOCKED_MIN_DIM;
+        match policy {
+            Policy::Rows => wide,
+            Policy::Shape => wide && self.m.saturating_mul(self.k).saturating_mul(self.n) >= BLOCKED_MIN_MULS,
+        }
+    }
 }
 
 /// Output width from which the AVX-512 6×32 tile runs. Below it half of
@@ -131,18 +160,12 @@ const ZMM_MIN_N: usize = 32;
 thread_local! {
     /// Per-worker packing scratch: (A block, B panel), sized for the widest
     /// tile. Workers are persistent, so each thread allocates exactly once.
-    static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
+    static PACK_SCRATCH: RefCell<PackScratch> =
         RefCell::new((vec![0.0; MC * KC], vec![0.0; KC * ZMM_NR]));
     /// Per-worker attention scratch blocks (weights, dW, dS — each up to
-    /// `Tq×Tk` — plus `Kᵀ`/`Vᵀ` transposes of `D×Tk` for the skinny direct
-    /// path; worker-local, never tape temporaries).
-    static ATTN_SCRATCH: RefCell<[Vec<f32>; 5]> = RefCell::new([
-        Vec::new(),
-        Vec::new(),
-        Vec::new(),
-        Vec::new(),
-        Vec::new(),
-    ]);
+    /// `Tq×Tk` — plus the `D×Tk` transpose of `K` or `V` for the skinny
+    /// direct path; worker-local, never tape temporaries).
+    static ATTN_SCRATCH: RefCell<[Vec<f32>; 4]> = const { RefCell::new([const { Vec::new() }; 4]) };
 }
 
 /// `c + a·b`, fused to a single rounding when `FUSED` (the AVX2+FMA path).
@@ -212,25 +235,17 @@ fn zmm_tile(ndim: usize) -> bool {
     isa() == Isa::Avx512 && ndim >= ZMM_MIN_N
 }
 
-/// Packs `mc` effective-A rows starting at `i_blk` over k-range
-/// `[p0, p0+kc)` strip-major: strip `s` occupies
-/// `apack[s*MR*kc ..][p*MR + r]`. Rows past the edge are zero-padded (their
+/// Packs the effective-A rows `rows` of a product of shape `shape` over the
+/// k-range `ks` strip-major: strip `s` occupies `apack[s*MR*kc ..][p*MR + r]`
+/// (`kc = ks.len()`). Rows past the edge are zero-padded (their
 /// accumulators are never stored).
 ///
-/// `TA = false`: A stored `mdim×kdim` row-major.
-/// `TA = true`: A stored `kdim×mdim` (effective Aᵀ — the TN layout).
+/// `TA = false`: A stored `m×k` row-major.
+/// `TA = true`: A stored `k×m` (effective Aᵀ — the TN layout).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn pack_a<const TA: bool, const MR: usize>(
-    a: &[f32],
-    mdim: usize,
-    kdim: usize,
-    i_blk: usize,
-    mc: usize,
-    p0: usize,
-    kc: usize,
-    apack: &mut [f32],
-) {
+fn pack_a<const TA: bool, const MR: usize>(a: &[f32], shape: Mkn, rows: Range<usize>, ks: Range<usize>, apack: &mut [f32]) {
+    let (mdim, kdim) = (shape.m, shape.k);
+    let (i_blk, mc, p0, kc) = (rows.start, rows.len(), ks.start, ks.len());
     for s in 0..mc.div_ceil(MR) {
         let r0 = i_blk + s * MR;
         let mr = MR.min(i_blk + mc - r0);
@@ -433,37 +448,36 @@ impl Tile<TILE_MR, ZMM_NR> for Zmm {
     }
 }
 
-/// Blocked GEBP driver for effective output rows `[i0, i1)` of
-/// `C[mdim×ndim] += Aeff[mdim×kdim] · Beff[kdim×ndim]` into the
-/// row-relative `out_rows`, on tile `T`. `TA` selects the storage layout of
-/// the effective A (see [`pack_a`]); `b` packs the B panels.
+/// Scratch the GEBP driver packs into: (A block, B panel).
+type PackScratch = (Vec<f32>, Vec<f32>);
+
+/// Blocked GEBP driver for effective output rows `rows` of
+/// `C += Aeff·Beff` (shape `shape`) into the row-relative `out_rows`, on
+/// tile `T`. `TA` selects the storage layout of the effective A (see
+/// [`pack_a`]); `b` packs the B panels.
 ///
 /// # Safety
 /// The CPU must support `T`'s instruction set.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn gebp<const MR: usize, const NR: usize, T: Tile<MR, NR>, const TA: bool, B: PackB>(
     a: &[f32],
     b: &B,
-    mdim: usize,
-    kdim: usize,
-    ndim: usize,
-    i0: usize,
-    i1: usize,
+    shape: Mkn,
+    rows: Range<usize>,
     out_rows: &mut [f32],
-    apack: &mut [f32],
-    bpack: &mut [f32],
+    (apack, bpack): &mut PackScratch,
 ) {
+    let (kdim, ndim) = (shape.k, shape.n);
     for p0 in (0..kdim).step_by(KC) {
         let kc = KC.min(kdim - p0);
-        for ib in (i0..i1).step_by(MC) {
-            let mc = MC.min(i1 - ib);
-            pack_a::<TA, MR>(a, mdim, kdim, ib, mc, p0, kc, apack);
+        for ib in rows.clone().step_by(MC) {
+            let mc = MC.min(rows.end - ib);
+            pack_a::<TA, MR>(a, shape, ib..ib + mc, p0..p0 + kc, apack);
             for j0 in (0..ndim).step_by(NR) {
                 let nr = NR.min(ndim - j0);
                 b.pack::<NR>(p0, kc, j0, nr, bpack);
                 for s in 0..mc.div_ceil(MR) {
-                    let row = ib - i0 + s * MR;
+                    let row = ib - rows.start + s * MR;
                     let mr = MR.min(mc - s * MR);
                     T::run(
                         kc,
@@ -487,20 +501,15 @@ unsafe fn gebp<const MR: usize, const NR: usize, T: Tile<MR, NR>, const TA: bool
 /// The CPU must support AVX2 and FMA (see [`isa`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn gebp_ymm<const TA: bool, B: PackB>(
     a: &[f32],
     b: &B,
-    mdim: usize,
-    kdim: usize,
-    ndim: usize,
-    i0: usize,
-    i1: usize,
+    shape: Mkn,
+    rows: Range<usize>,
     out_rows: &mut [f32],
-    apack: &mut [f32],
-    bpack: &mut [f32],
+    pack: &mut PackScratch,
 ) {
-    gebp::<TILE_MR, YMM_NR, Autovec<true>, TA, B>(a, b, mdim, kdim, ndim, i0, i1, out_rows, apack, bpack);
+    gebp::<TILE_MR, YMM_NR, Autovec<true>, TA, B>(a, b, shape, rows, out_rows, pack);
 }
 
 /// [`gebp`] on the AVX-512 6×32 tile.
@@ -509,79 +518,73 @@ unsafe fn gebp_ymm<const TA: bool, B: PackB>(
 /// The CPU must support AVX-512F, AVX2 and FMA (see [`isa`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn gebp_zmm<const TA: bool, B: PackB>(
     a: &[f32],
     b: &B,
-    mdim: usize,
-    kdim: usize,
-    ndim: usize,
-    i0: usize,
-    i1: usize,
+    shape: Mkn,
+    rows: Range<usize>,
     out_rows: &mut [f32],
-    apack: &mut [f32],
-    bpack: &mut [f32],
+    pack: &mut PackScratch,
 ) {
-    gebp::<TILE_MR, ZMM_NR, Zmm, TA, B>(a, b, mdim, kdim, ndim, i0, i1, out_rows, apack, bpack);
+    gebp::<TILE_MR, ZMM_NR, Zmm, TA, B>(a, b, shape, rows, out_rows, pack);
 }
 
-/// Runtime-dispatched blocked GEBP over effective rows `[i0, i1)`, with B
+/// Runtime-dispatched blocked GEBP over effective rows `rows`, with B
 /// packed from `b`: the zmm tile where [`zmm_tile`] says so, else the
 /// 6×16 tile at AVX2+FMA or baseline features.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows_from<const TA: bool, B: PackB>(
-    a: &[f32],
-    b: &B,
-    mdim: usize,
-    kdim: usize,
-    ndim: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
+fn gebp_rows<const TA: bool, B: PackB>(a: &[f32], b: &B, shape: Mkn, rows: Range<usize>, out_rows: &mut [f32]) {
     PACK_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        let (apack, bpack) = (&mut scratch.0, &mut scratch.1);
+        let pack = &mut *cell.borrow_mut();
         #[cfg(target_arch = "x86_64")]
-        if zmm_tile(ndim) {
+        if zmm_tile(shape.n) {
             // SAFETY: `isa()` found AVX-512F, AVX2 and FMA on this CPU.
-            unsafe { gebp_zmm::<TA, B>(a, b, mdim, kdim, ndim, i0, i1, out_rows, apack, bpack) };
+            unsafe { gebp_zmm::<TA, B>(a, b, shape, rows, out_rows, pack) };
             return;
         } else if isa() != Isa::Portable {
             // SAFETY: `isa()` found AVX2 and FMA on this CPU.
-            unsafe { gebp_ymm::<TA, B>(a, b, mdim, kdim, ndim, i0, i1, out_rows, apack, bpack) };
+            unsafe { gebp_ymm::<TA, B>(a, b, shape, rows, out_rows, pack) };
             return;
         }
         // SAFETY: the portable tile needs no CPU feature beyond the build's.
-        unsafe {
-            gebp::<TILE_MR, YMM_NR, Autovec<false>, TA, B>(a, b, mdim, kdim, ndim, i0, i1, out_rows, apack, bpack)
-        };
+        unsafe { gebp::<TILE_MR, YMM_NR, Autovec<false>, TA, B>(a, b, shape, rows, out_rows, pack) };
     });
-}
-
-/// [`gemm_rows_from`] with a dense f32 B (`TB` as in [`DenseB`]).
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows<const TA: bool, const TB: bool>(
-    a: &[f32],
-    b: &[f32],
-    mdim: usize,
-    kdim: usize,
-    ndim: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
-    let b = DenseB::<TB> { b, kdim, ndim };
-    gemm_rows_from::<TA, _>(a, &b, mdim, kdim, ndim, i0, i1, out_rows);
 }
 
 // ------------------------------------------------------------------ matmul
 
-/// Computes output rows `[i0, i1)` of `A·B` into the row-relative `out_rows`
-/// (`(i1-i0) × n`, zeroed). `A` is `m×k`, `B` is `k×n`. Direct i-k-j
-/// rank-1 kernel, used below the blocking threshold.
-fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, i1: usize, out_rows: &mut [f32]) {
-    for (r, i) in (i0..i1).enumerate() {
+/// Output rows `rows` of `out += Aeff·Beff` (shape `shape`) into the
+/// row-relative `out_rows`: the blocked GEBP where
+/// `shape.blocked(policy)`, else the layout's direct loop. `TA` reads A
+/// stored `k×m` (the TN layout), `TB` reads B stored `n×k` (the NT
+/// layout); no product reads both transposed. Either path sums each
+/// output element over the shared dimension in a fixed order that no row
+/// range changes, so any sharding computes it identically.
+fn gemm_rows<const TA: bool, const TB: bool>(
+    a: &[f32],
+    b: &[f32],
+    shape: Mkn,
+    policy: Policy,
+    rows: Range<usize>,
+    out_rows: &mut [f32],
+) {
+    if shape.blocked(policy) {
+        let b = DenseB::<TB> { b, kdim: shape.k, ndim: shape.n };
+        gebp_rows::<TA, _>(a, &b, shape, rows, out_rows);
+        return;
+    }
+    match (TA, TB) {
+        (false, false) => nn_rows(a, b, shape, rows, out_rows),
+        (false, true) => nt_rows(a, b, shape, rows, out_rows),
+        (true, false) => tn_rows(a, b, shape, rows, out_rows),
+        (true, true) => unreachable!("no product reads both operands transposed"),
+    }
+}
+
+/// The NN direct loop: the i-k-j rank-1 (axpy) kernel, skipping zero
+/// entries of `A` (`m×k`) against `B` (`k×n`).
+fn nn_rows(a: &[f32], b: &[f32], shape: Mkn, rows: Range<usize>, out_rows: &mut [f32]) {
+    let (k, n) = (shape.k, shape.n);
+    for (r, i) in rows.enumerate() {
         let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out_rows[r * n..(r + 1) * n];
         for (l, &av) in arow.iter().enumerate() {
@@ -595,35 +598,54 @@ fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, i0: usize, i1: usize, o
     }
 }
 
-/// Rows `[i0, i1)` of `A·B`, picking blocked vs direct from `k`/`n` alone
-/// ([`use_blocked_rows`]) so any sharding and any batch size compute each
-/// element identically.
-fn matmul_rows_dispatch(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
-    if use_blocked_rows(k, n) {
-        gemm_rows::<false, false>(a, b, m, k, n, i0, i1, out_rows);
-    } else {
-        matmul_rows(a, b, k, n, i0, i1, out_rows);
+/// The NT direct loop: one dot product per output element of `A` (`m×k`)
+/// against `B` stored `n×k`, summed from zero and then added to `out`.
+fn nt_rows(a: &[f32], b: &[f32], shape: Mkn, rows: Range<usize>, out_rows: &mut [f32]) {
+    let (k, n) = (shape.k, shape.n);
+    for (r, i) in rows.enumerate() {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out_rows[r * n..(r + 1) * n];
+        for (l, slot) in orow.iter_mut().enumerate() {
+            let brow = &b[l * k..(l + 1) * k];
+            let mut acc = 0.0f32;
+            for (x, y) in arow.iter().zip(brow.iter()) {
+                acc += x * y;
+            }
+            *slot += acc;
+        }
     }
 }
 
-/// `out = A·B` where `A` is `m×k`, `B` is `k×n` (`out` zeroed),
-/// row-sharded over the executor; bitwise identical at any thread count.
-/// Tasks below the executor's flop gate run inline on the caller.
-pub fn par_matmul(exec: &Executor, a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+/// The TN direct loop: A stored `k×m`, B `k×n`. Each output element sums
+/// over the shared index ascending, whatever the row range, so sharding
+/// the output rows is bitwise safe.
+fn tn_rows(a: &[f32], b: &[f32], shape: Mkn, rows: Range<usize>, out_rows: &mut [f32]) {
+    let (m, n) = (shape.m, shape.n);
+    for i in 0..shape.k {
+        let arow = &a[i * m..(i + 1) * m];
+        let brow = &b[i * n..(i + 1) * n];
+        for (r, &av) in arow[rows.clone()].iter().enumerate() {
+            if av != 0.0 {
+                let orow = &mut out_rows[r * n..(r + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+}
+
+/// `out += A·B` where `A` is `m×k` and `B` is `k×n` (callers pass `out`
+/// zeroed), row-sharded over the executor on the `Policy::Rows` path;
+/// bitwise identical at any thread count. Tasks below the executor's flop
+/// gate run inline on the caller.
+pub fn par_matmul(exec: &Executor, a: &[f32], b: &[f32], shape: Mkn, out: &mut [f32]) {
+    let Mkn { m, k, n } = shape;
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     par_rows(exec, out, m, n, min_rows(k * n), m * k * n, &|i0, i1, rows| {
-        matmul_rows_dispatch(a, b, m, k, n, i0, i1, rows);
+        gemm_rows::<false, false>(a, b, shape, Policy::Rows, i0..i1, rows);
     });
 }
 
@@ -651,117 +673,34 @@ fn dequant_into(q: &QuantData, k: usize, n: usize, out: &mut Vec<f32>) {
 }
 
 /// `out = A·B_q` where `A` is f32 `m×k` and `B_q` is a quantized `k×n`
-/// weight; accumulation is f32 throughout. Above the blocking threshold the
-/// panels are dequantized straight into the L1-resident pack buffer
-/// (row-sharded across the executor, bitwise identical to serial); below it
+/// weight; accumulation is f32 throughout. On the blocked path the panels
+/// are dequantized straight into the L1-resident pack buffer (row-sharded
+/// across the executor, bitwise identical to serial); on the direct path
 /// the whole weight is dequantized into worker-local scratch once and the
-/// direct kernel runs serially. Forward-only: there is no backward for
-/// quantized operands.
-pub fn matmul_quant(
-    exec: &Executor,
-    a: &[f32],
-    b: &QuantData,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
+/// f32 rows run serially. Forward-only: there is no backward for quantized
+/// operands.
+pub fn matmul_quant(exec: &Executor, a: &[f32], b: &QuantData, shape: Mkn, out: &mut [f32]) {
+    let Mkn { m, k, n } = shape;
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(out.len(), m * n);
     /// Logical panel dequantizations (serial-path count: the same panels
     /// are packed per worker under row sharding, but the logical tiling is
     /// shard-invariant).
     static DEQUANT_PANELS: LazyCounter = LazyCounter::new("tensor.quant.dequant_panels");
-    if use_blocked_rows(k, n) {
+    if shape.blocked(Policy::Rows) {
         let nr = if zmm_tile(n) { ZMM_NR } else { YMM_NR };
         DEQUANT_PANELS.add((k.div_ceil(KC) * m.div_ceil(MC) * n.div_ceil(nr)) as u64);
         let b = QuantB { q: b, ndim: n };
         par_rows(exec, out, m, n, min_rows(k * n), m * k * n, &|i0, i1, rows| {
-            gemm_rows_from::<false, _>(a, &b, m, k, n, i0, i1, rows);
+            gebp_rows::<false, _>(a, &b, shape, i0..i1, rows);
         });
     } else {
         DEQUANT_PANELS.inc();
         QUANT_SCRATCH.with(|cell| {
             let buf = &mut *cell.borrow_mut();
             dequant_into(b, k, n, buf);
-            matmul_rows(a, buf, k, n, 0, m, out);
+            gemm_rows::<false, false>(a, buf, shape, Policy::Rows, 0..m, out);
         });
-    }
-}
-
-/// Computes output rows `[i0, i1)` of `A·Bᵀ`, *accumulated* into the
-/// row-relative `out_rows`. `A` is `m×n`, `B` is `k×n`, `out` is `m×k`.
-/// Direct dot kernel, used below the blocking threshold.
-fn matmul_acc_nt_rows(a: &[f32], b: &[f32], n: usize, k: usize, i0: usize, i1: usize, out_rows: &mut [f32]) {
-    for (r, i) in (i0..i1).enumerate() {
-        let arow = &a[i * n..(i + 1) * n];
-        let orow = &mut out_rows[r * k..(r + 1) * k];
-        for (l, slot) in orow.iter_mut().enumerate() {
-            let brow = &b[l * n..(l + 1) * n];
-            let mut acc = 0.0f32;
-            for (x, y) in arow.iter().zip(brow.iter()) {
-                acc += x * y;
-            }
-            *slot += acc;
-        }
-    }
-}
-
-/// Rows `[i0, i1)` of `out += A·Bᵀ` (effective `M=m, K=n, N=k`, B stored
-/// transposed), blocked vs direct from the global shape.
-fn matmul_acc_nt_rows_dispatch(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    i0: usize,
-    i1: usize,
-    out_rows: &mut [f32],
-) {
-    if use_blocked(m, n, k) {
-        gemm_rows::<false, true>(a, b, m, n, k, i0, i1, out_rows);
-    } else {
-        matmul_acc_nt_rows(a, b, n, k, i0, i1, out_rows);
-    }
-}
-
-/// Computes output rows `[l0, l1)` of `Aᵀ·B`, *accumulated* into the
-/// row-relative `out_rows`. `A` is `m×k`, `B` is `m×n`, `out` is `k×n`.
-/// For each output element the accumulation runs over `i = 0..m` ascending,
-/// exactly like the serial kernel, so sharding over `l` is bitwise safe.
-fn matmul_acc_tn_rows(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, l0: usize, l1: usize, out_rows: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let brow = &b[i * n..(i + 1) * n];
-        for l in l0..l1 {
-            let av = arow[l];
-            if av != 0.0 {
-                let orow = &mut out_rows[(l - l0) * n..(l - l0 + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-}
-
-/// Rows `[l0, l1)` of `out += Aᵀ·B` (effective `M=k, K=m, N=n`, A stored
-/// transposed), blocked vs direct from the global shape.
-fn matmul_acc_tn_rows_dispatch(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    l0: usize,
-    l1: usize,
-    out_rows: &mut [f32],
-) {
-    if use_blocked(k, m, n) {
-        gemm_rows::<true, false>(a, b, k, m, n, l0, l1, out_rows);
-    } else {
-        matmul_acc_tn_rows(a, b, m, k, n, l0, l1, out_rows);
     }
 }
 
@@ -790,53 +729,29 @@ fn for_batch_ranges(
     }
 }
 
-/// Batched `out = A·B` over `[B,m,k] × [B,k,n] → [B,m,n]` (`out` zeroed),
-/// sharded over all `B·m` output rows; bitwise identical at any thread
-/// count. Each batch runs the 2-D row kernels, blocked vs direct from the
-/// per-batch shape (identical for every batch, so sharding-independent).
-pub fn par_bmm(exec: &Executor, a: &[f32], b: &[f32], bsz: usize, m: usize, k: usize, n: usize, out: &mut [f32]) {
+/// Batched `out[bi] += Aeff[bi]·Beff[bi]` over `bsz` stacked products of
+/// shape `shape`, sharded over all `bsz·m` output rows; bitwise identical
+/// at any thread count. Every batch takes the `Policy::Shape` path of the
+/// one per-batch shape, so the path never depends on sharding. The layouts
+/// are `gemm_rows`'s: forward `bmm` runs NN into a zeroed `out`, and its
+/// backward accumulates `dA += dC·Bᵀ` (NT) and `dB += Aᵀ·dC` (TN), which
+/// the 2-D matmul backward runs at `bsz = 1`.
+pub fn par_bmm<const TA: bool, const TB: bool>(
+    exec: &Executor,
+    a: &[f32],
+    b: &[f32],
+    bsz: usize,
+    shape: Mkn,
+    out: &mut [f32],
+) {
+    let Mkn { m, k, n } = shape;
     debug_assert_eq!(a.len(), bsz * m * k);
     debug_assert_eq!(b.len(), bsz * k * n);
     debug_assert_eq!(out.len(), bsz * m * n);
-    let blocked = use_blocked(m, k, n);
     par_rows(exec, out, bsz * m, n, min_rows(k * n), bsz * m * k * n, &|r0, r1, rows| {
         for_batch_ranges(m, n, r0, r1, rows, |bi, i0, i1, rel| {
             let (a, b) = (&a[bi * m * k..(bi + 1) * m * k], &b[bi * k * n..(bi + 1) * k * n]);
-            if blocked {
-                gemm_rows::<false, false>(a, b, m, k, n, i0, i1, rel);
-            } else {
-                matmul_rows(a, b, k, n, i0, i1, rel);
-            }
-        });
-    });
-}
-
-/// Batched `dA += dC·Bᵀ` over `dC = [B,m,n]`, `B = [B,k,n]` into
-/// `[B,m,k]`, row-sharded; bitwise identical at any thread count. At
-/// `bsz = 1` this is the 2-D `dA += dC·Bᵀ` of matmul backward.
-pub fn par_bmm_acc_nt(exec: &Executor, dc: &[f32], b: &[f32], bsz: usize, m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(dc.len(), bsz * m * n);
-    debug_assert_eq!(b.len(), bsz * k * n);
-    debug_assert_eq!(out.len(), bsz * m * k);
-    par_rows(exec, out, bsz * m, k, min_rows(n * k), bsz * m * n * k, &|r0, r1, rows| {
-        for_batch_ranges(m, k, r0, r1, rows, |bi, i0, i1, rel| {
-            let (dc, b) = (&dc[bi * m * n..(bi + 1) * m * n], &b[bi * k * n..(bi + 1) * k * n]);
-            matmul_acc_nt_rows_dispatch(dc, b, m, n, k, i0, i1, rel);
-        });
-    });
-}
-
-/// Batched `dB += Aᵀ·dC` over `A = [B,m,k]`, `dC = [B,m,n]` into
-/// `[B,k,n]`, row-sharded; bitwise identical at any thread count. At
-/// `bsz = 1` this is the 2-D `dB += Aᵀ·dC` of matmul backward.
-pub fn par_bmm_acc_tn(exec: &Executor, a: &[f32], dc: &[f32], bsz: usize, m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), bsz * m * k);
-    debug_assert_eq!(dc.len(), bsz * m * n);
-    debug_assert_eq!(out.len(), bsz * k * n);
-    par_rows(exec, out, bsz * k, n, min_rows(m * n), bsz * m * k * n, &|r0, r1, rows| {
-        for_batch_ranges(k, n, r0, r1, rows, |bi, l0, l1, rel| {
-            let (a, dc) = (&a[bi * m * k..(bi + 1) * m * k], &dc[bi * m * n..(bi + 1) * m * n]);
-            matmul_acc_tn_rows_dispatch(a, dc, m, k, n, l0, l1, rel);
+            gemm_rows::<TA, TB>(a, b, shape, Policy::Shape, i0..i1, rel);
         });
     });
 }
@@ -1017,9 +932,12 @@ pub fn act_grad(kind: ActKind, s: f32) -> f32 {
 /// chain is 1e-5 parity, not bitwise equality, and by [`gelu`].
 #[inline(always)]
 fn exp_approx(x: f32) -> f32 {
-    const LN2_HI: f32 = 0.693_359_375;
+    const LN2_HI: f32 = 0.693_359_4;
     const LN2_LO: f32 = -2.121_944_4e-4;
-    let x = x.max(-87.0).min(88.0);
+    // Clamp to [-87, 88]. NaN fails both comparisons and lands on -87, so
+    // `exp_approx(NaN)` is finite; `f32::clamp` would return NaN.
+    let x = if x > -87.0 { x } else { -87.0 };
+    let x = if x < 88.0 { x } else { 88.0 };
     // Round-to-nearest via the 1.5·2²³ shift — no `floor` (and thus no
     // SSE4.1/libm dependency), so the loop vectorizes on any x86-64.
     const RND: f32 = 12_582_912.0;
@@ -1031,7 +949,7 @@ fn exp_approx(x: f32) -> f32 {
     p = p * r + 8.333_452e-3;
     p = p * r + 4.166_579_6e-2;
     p = p * r + 1.666_666_5e-1;
-    p = p * r + 5.000_000_1e-1;
+    p = p * r + 0.5;
     let e = (p * r * r + r) + 1.0;
     // 2^nf via exponent bits; nf ∈ [-126, 127] after the clamp above. The
     // shifted value is exactly `RND + nf` (one ulp is 1 there), so its bit
@@ -1133,188 +1051,109 @@ fn transpose_head(src: &[f32], tk: usize, d: usize, dst: &mut Vec<f32>) {
     }
 }
 
-/// Fused attention forward for local query rows `[i0, i1)` of one
-/// head-batch: `scores = Q·Kᵀ` into a per-worker scratch block, scaled
-/// softmax over keys, then `out += W·V`. The `Tq×Tk` weight matrix exists
-/// only as worker scratch — never as a tape temporary. Every blocked/direct
-/// choice is taken from the *global* `(tq, tk, d)` shape — blocked GEBP for
-/// wide heads, axpy over the pre-transposed `kt` for skinny ones — with
-/// k-accumulation ascending per output element, so any sharding computes
-/// each element identically. `kt` must hold `Kᵀ` (`d×tk`) when the score
-/// product is below the blocking threshold; it is unused otherwise.
-#[allow(clippy::too_many_arguments)]
-fn attention_forward_segment(
-    qmat: &[f32],
-    kmat: &[f32],
-    vmat: &[f32],
-    tq: usize,
-    tk: usize,
-    d: usize,
-    scale: f32,
-    i0: usize,
-    i1: usize,
-    out_seg: &mut [f32],
-    w: &mut [f32],
-    kt: &[f32],
-) {
-    let rows = i1 - i0;
-    let w = &mut w[..rows * tk];
-    w.fill(0.0);
-    if use_blocked(tq, d, tk) {
-        gemm_rows::<false, true>(qmat, kmat, tq, d, tk, i0, i1, w);
-    } else {
-        matmul_rows(qmat, kt, d, tk, i0, i1, w);
+/// The geometry of one fused attention call: `bsz` head-batches of `tq`
+/// query rows against `tk` key/value rows, each `d` wide, with the scores
+/// scaled by `scale`. `Q`/`dO` are stacked `[bsz, tq, d]`, `K`/`V`
+/// `[bsz, tk, d]`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Heads {
+    /// Head-batches (batch × heads).
+    pub bsz: usize,
+    /// Query rows per head-batch.
+    pub tq: usize,
+    /// Key/value rows per head-batch.
+    pub tk: usize,
+    /// Head width.
+    pub d: usize,
+    /// Score scale (`1/√d` for scaled dot-product attention).
+    pub scale: f32,
+}
+
+impl Heads {
+    /// `Q·Kᵀ`, and backward's `dO·Vᵀ`: `tq×d` against `tk×d`.
+    fn scores(self) -> Mkn {
+        Mkn { m: self.tq, k: self.d, n: self.tk }
     }
-    softmax_scaled_rows(w, tk, scale);
-    if use_blocked(tq, tk, d) {
-        gemm_rows::<false, false>(w, vmat, rows, tk, d, 0, rows, out_seg);
-    } else {
-        matmul_rows(w, vmat, tk, d, 0, rows, out_seg);
+
+    /// `W·V`, and backward's `dS·K`: `tq×tk` against `tk×d`.
+    fn mix(self) -> Mkn {
+        Mkn { m: self.tq, k: self.tk, n: self.d }
+    }
+
+    /// Backward's `dSᵀ·Q` and `Wᵀ·dO` (TN): `tk×d` outputs summed over the
+    /// query rows.
+    fn keys(self) -> Mkn {
+        Mkn { m: self.tk, k: self.tq, n: self.d }
+    }
+
+    /// Head-batch `bi`'s `t×d` block of a stacked `[bsz, t, d]` tensor.
+    fn block(self, x: &[f32], t: usize, bi: usize) -> &[f32] {
+        &x[bi * t * self.d..(bi + 1) * t * self.d]
+    }
+
+    /// Rows `rows` of `X·Yᵀ` for one head-batch (`x` `tq×d`, `y` `tk×d`),
+    /// accumulated into the row-relative `out`: GEBP over `y` where the
+    /// score shape is blocked, else the axpy kernel over `Yᵀ`, transposed
+    /// into `yt` first — the NT dot kernel would round differently.
+    fn scores_rows(self, x: &[f32], y: &[f32], rows: Range<usize>, out: &mut [f32], yt: &mut Vec<f32>) {
+        let shape = self.scores();
+        if shape.blocked(Policy::Shape) {
+            gemm_rows::<false, true>(x, y, shape, Policy::Shape, rows, out);
+        } else {
+            transpose_head(y, self.tk, self.d, yt);
+            gemm_rows::<false, false>(x, yt, shape, Policy::Shape, rows, out);
+        }
     }
 }
 
 /// Row-sharded fused attention forward over `[B,Tq,D] × [B,Tk,D]²` into the
-/// caller-zeroed `out`; bitwise identical to the serial path at any thread
-/// count (each output row is one worker's, and the GEBP stages pick their
-/// kernels from global shapes only).
-#[allow(clippy::too_many_arguments)]
-pub fn par_attention(
-    exec: &Executor,
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    bsz: usize,
-    tq: usize,
-    tk: usize,
-    d: usize,
-    scale: f32,
-    out: &mut [f32],
-) {
+/// caller-zeroed `out`: per query-row range, `scores = Q·Kᵀ` into a
+/// per-worker scratch block, scaled softmax over keys, then `out += W·V`.
+/// The `Tq×Tk` weight matrix exists only as worker scratch — never as a
+/// tape temporary. Every product takes its path from the per-head shape
+/// (`Policy::Shape`), so the result is bitwise identical to the serial
+/// path at any thread count.
+pub fn par_attention(exec: &Executor, [q, k, v]: [&[f32]; 3], heads: Heads, out: &mut [f32]) {
+    let Heads { bsz, tq, tk, d, scale } = heads;
     debug_assert_eq!(q.len(), bsz * tq * d);
     debug_assert_eq!(k.len(), bsz * tk * d);
     debug_assert_eq!(v.len(), bsz * tk * d);
     debug_assert_eq!(out.len(), bsz * tq * d);
-    let blocked_nt = use_blocked(tq, d, tk);
     let flops = 2 * bsz * tq * tk * d;
     par_rows(exec, out, bsz * tq, d, min_rows(2 * tk * d), flops, &|r0, r1, out_rows| {
         ATTN_SCRATCH.with(|cell| {
-            let [w, _, _, kt, _] = &mut *cell.borrow_mut();
+            let [w, _, _, yt] = &mut *cell.borrow_mut();
             w.resize(tq * tk, 0.0);
-            let mut r = r0;
-            while r < r1 {
-                let bi = r / tq;
-                let i0 = r - bi * tq;
-                let i1 = (i0 + (r1 - r)).min(tq);
-                let qmat = &q[bi * tq * d..(bi + 1) * tq * d];
-                let kmat = &k[bi * tk * d..(bi + 1) * tk * d];
-                let vmat = &v[bi * tk * d..(bi + 1) * tk * d];
-                let seg = &mut out_rows[(r - r0) * d..(r - r0 + (i1 - i0)) * d];
-                if !blocked_nt {
-                    transpose_head(kmat, tk, d, kt);
-                }
-                attention_forward_segment(qmat, kmat, vmat, tq, tk, d, scale, i0, i1, seg, w, kt);
-                r += i1 - i0;
-            }
+            for_batch_ranges(tq, d, r0, r1, out_rows, |bi, i0, i1, seg| {
+                // `w` holds this range's rows of the head's weights, so
+                // `W·V` reads its rows from 0.
+                let w = &mut w[..(i1 - i0) * tk];
+                w.fill(0.0);
+                heads.scores_rows(heads.block(q, tq, bi), heads.block(k, tk, bi), i0..i1, w, yt);
+                softmax_scaled_rows(w, tk, scale);
+                gemm_rows::<false, false>(w, heads.block(v, tk, bi), heads.mix(), Policy::Shape, 0..i1 - i0, seg);
+            });
         });
     });
 }
 
-/// Fused attention backward for head-batches `[b0, b1)`: recomputes each
-/// batch's softmax weights with exactly the forward kernel's products,
-/// forms `dW = dO·Vᵀ`, applies the softmax Jacobian row-wise (folded with
-/// the score scale), then accumulates `dQ += dS·K`, `dK += dSᵀ·Q`,
-/// `dV += Wᵀ·dO` — five matrix products per batch over three `Tq×Tk`
-/// worker-scratch blocks (scratch, not tape temporaries). The two `·ᵀ`
-/// products use GEBP above the blocking threshold and the axpy kernel over
-/// pre-transposed `kt`/`vt` scratch below it.
-#[allow(clippy::too_many_arguments)]
-fn attention_backward_batches(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    dout: &[f32],
-    tq: usize,
-    tk: usize,
-    d: usize,
-    scale: f32,
-    b0: usize,
-    b1: usize,
-    dq_rows: &mut [f32],
-    dk_rows: &mut [f32],
-    dv_rows: &mut [f32],
-    scratch: &mut [Vec<f32>; 5],
-) {
-    let blocked_nt = use_blocked(tq, d, tk);
-    let blocked_nn = use_blocked(tq, tk, d);
-    let [w, dw, ds, kt, vt] = scratch;
-    w.resize(tq * tk, 0.0);
-    dw.resize(tq * tk, 0.0);
-    ds.resize(tq * tk, 0.0);
-    for (bb, bi) in (b0..b1).enumerate() {
-        let qmat = &q[bi * tq * d..(bi + 1) * tq * d];
-        let kmat = &k[bi * tk * d..(bi + 1) * tk * d];
-        let vmat = &v[bi * tk * d..(bi + 1) * tk * d];
-        let domat = &dout[bi * tq * d..(bi + 1) * tq * d];
-        let dqm = &mut dq_rows[bb * tq * d..(bb + 1) * tq * d];
-        let dkm = &mut dk_rows[bb * tk * d..(bb + 1) * tk * d];
-        let dvm = &mut dv_rows[bb * tk * d..(bb + 1) * tk * d];
-        if !blocked_nt {
-            transpose_head(kmat, tk, d, kt);
-            transpose_head(vmat, tk, d, vt);
-        }
-        // Recompute W with exactly the forward pass's products.
-        w.fill(0.0);
-        if blocked_nt {
-            gemm_rows::<false, true>(qmat, kmat, tq, d, tk, 0, tq, w);
-        } else {
-            matmul_rows(qmat, kt, d, tk, 0, tq, w);
-        }
-        softmax_scaled_rows(w, tk, scale);
-        // dW = dO·Vᵀ.
-        dw.fill(0.0);
-        if blocked_nt {
-            gemm_rows::<false, true>(domat, vmat, tq, d, tk, 0, tq, dw);
-        } else {
-            matmul_rows(domat, vt, d, tk, 0, tq, dw);
-        }
-        // Softmax Jacobian rows (accumulating — ds is zeroed first), folded
-        // with the score scale.
-        ds.fill(0.0);
-        softmax_rows_backward_range(w, dw, tk, ds);
-        for x in ds.iter_mut() {
-            *x *= scale;
-        }
-        // dQ += dS·K, dK += dSᵀ·Q, dV += Wᵀ·dO.
-        if blocked_nn {
-            gemm_rows::<false, false>(ds, kmat, tq, tk, d, 0, tq, dqm);
-        } else {
-            matmul_rows(ds, kmat, tk, d, 0, tq, dqm);
-        }
-        matmul_acc_tn_rows_dispatch(ds, qmat, tq, tk, d, 0, tk, dkm);
-        matmul_acc_tn_rows_dispatch(w, domat, tq, tk, d, 0, tk, dvm);
-    }
-}
-
-/// Batch-sharded fused attention backward: each head-batch's `dQ`/`dK`/`dV`
-/// rows are owned by exactly one worker and processed with the full-batch
-/// serial code — bitwise identical to serial at any thread count.
-/// `dq`/`dk`/`dv` must be caller-zeroed accumulators of the full size.
-#[allow(clippy::too_many_arguments)]
+/// Batch-sharded fused attention backward into the caller-zeroed
+/// accumulators `[dq, dk, dv]` of the full size. Per head-batch it
+/// recomputes the softmax weights with exactly the forward products, forms
+/// `dW = dO·Vᵀ`, applies the softmax Jacobian row-wise (folded with the
+/// score scale), then accumulates `dQ += dS·K`, `dK += dSᵀ·Q` and
+/// `dV += Wᵀ·dO` — five products over three `Tq×Tk` worker-scratch blocks
+/// (scratch, not tape temporaries). Each head-batch's gradient rows are
+/// owned by exactly one worker and computed with the full-batch serial
+/// code, so the result is bitwise identical to serial at any thread count.
 pub fn par_attention_backward(
     exec: &Executor,
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
+    [q, k, v]: [&[f32]; 3],
     dout: &[f32],
-    bsz: usize,
-    tq: usize,
-    tk: usize,
-    d: usize,
-    scale: f32,
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
+    heads: Heads,
+    [dq, dk, dv]: [&mut [f32]; 3],
 ) {
+    let Heads { bsz, tq, tk, d, scale } = heads;
     debug_assert_eq!(q.len(), bsz * tq * d);
     debug_assert_eq!(k.len(), bsz * tk * d);
     debug_assert_eq!(v.len(), bsz * tk * d);
@@ -1326,22 +1165,35 @@ pub fn par_attention_backward(
     let min = gated_min_chunk(bsz, min_rows(per_batch), bsz * per_batch, MIN_PAR_FLOPS);
     exec.parallel_for_mut(bsz, min, [dq, dk, dv], &|b0, b1, [dq_rows, dk_rows, dv_rows]| {
         ATTN_SCRATCH.with(|cell| {
-            attention_backward_batches(
-                q,
-                k,
-                v,
-                dout,
-                tq,
-                tk,
-                d,
-                scale,
-                b0,
-                b1,
-                dq_rows,
-                dk_rows,
-                dv_rows,
-                &mut cell.borrow_mut(),
-            );
+            let [w, dw, ds, yt] = &mut *cell.borrow_mut();
+            w.resize(tq * tk, 0.0);
+            dw.resize(tq * tk, 0.0);
+            ds.resize(tq * tk, 0.0);
+            for (bb, bi) in (b0..b1).enumerate() {
+                let (qmat, kmat) = (heads.block(q, tq, bi), heads.block(k, tk, bi));
+                let (vmat, domat) = (heads.block(v, tk, bi), heads.block(dout, tq, bi));
+                let dqm = &mut dq_rows[bb * tq * d..(bb + 1) * tq * d];
+                let dkm = &mut dk_rows[bb * tk * d..(bb + 1) * tk * d];
+                let dvm = &mut dv_rows[bb * tk * d..(bb + 1) * tk * d];
+                // Recompute W with exactly the forward pass's products.
+                w.fill(0.0);
+                heads.scores_rows(qmat, kmat, 0..tq, w, yt);
+                softmax_scaled_rows(w, tk, scale);
+                // dW = dO·Vᵀ.
+                dw.fill(0.0);
+                heads.scores_rows(domat, vmat, 0..tq, dw, yt);
+                // Softmax Jacobian rows (accumulating — ds is zeroed first),
+                // folded with the score scale.
+                ds.fill(0.0);
+                softmax_rows_backward_range(w, dw, tk, ds);
+                for x in ds.iter_mut() {
+                    *x *= scale;
+                }
+                // dQ += dS·K, dK += dSᵀ·Q, dV += Wᵀ·dO.
+                gemm_rows::<false, false>(ds, kmat, heads.mix(), Policy::Shape, 0..tq, dqm);
+                gemm_rows::<true, false>(ds, qmat, heads.keys(), Policy::Shape, 0..tk, dkm);
+                gemm_rows::<true, false>(w, domat, heads.keys(), Policy::Shape, 0..tk, dvm);
+            }
         });
     });
 }
@@ -1428,9 +1280,9 @@ mod tests {
             for q in [quantize_bf16(&b), quantize_int8(&b, k, n)] {
                 let deq = dequant_full(&q, k, n);
                 let mut want = vec![0.0; m * n];
-                par_matmul(&exec, &a, &deq, m, k, n, &mut want);
+                par_matmul(&exec, &a, &deq, Mkn { m, k, n }, &mut want);
                 let mut got = vec![0.0; m * n];
-                matmul_quant(&exec, &a, &q, m, k, n, &mut got);
+                matmul_quant(&exec, &a, &q, Mkn { m, k, n }, &mut got);
                 assert_eq!(got, want, "({m},{k},{n}) {q:?}");
             }
         }
@@ -1445,12 +1297,12 @@ mod tests {
         let a = rndvec(m * k, 21);
         let b = rndvec(k * n, 22);
         let mut want = vec![0.0; m * n];
-        par_matmul(&exec, &a, &b, m, k, n, &mut want);
+        par_matmul(&exec, &a, &b, Mkn { m, k, n }, &mut want);
         let mut bf = vec![0.0; m * n];
-        matmul_quant(&exec, &a, &quantize_bf16(&b), m, k, n, &mut bf);
+        matmul_quant(&exec, &a, &quantize_bf16(&b), Mkn { m, k, n }, &mut bf);
         assert_close(&bf, &want, 2e-2, "bf16 matmul");
         let mut i8out = vec![0.0; m * n];
-        matmul_quant(&exec, &a, &quantize_int8(&b, k, n), m, k, n, &mut i8out);
+        matmul_quant(&exec, &a, &quantize_int8(&b, k, n), Mkn { m, k, n }, &mut i8out);
         assert_close(&i8out, &want, 8e-2, "int8 matmul");
     }
 
@@ -1464,11 +1316,11 @@ mod tests {
         let q = quantize_bf16(&b);
         let serial_exec = Executor::serial();
         let mut serial = vec![0.0; m * n];
-        matmul_quant(&serial_exec, &a, &q, m, k, n, &mut serial);
+        matmul_quant(&serial_exec, &a, &q, Mkn { m, k, n }, &mut serial);
         for threads in [2, 4] {
             let exec = Executor::with_threads(threads);
             let mut par = vec![0.0; m * n];
-            matmul_quant(&exec, &a, &q, m, k, n, &mut par);
+            matmul_quant(&exec, &a, &q, Mkn { m, k, n }, &mut par);
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -1477,14 +1329,14 @@ mod tests {
     /// the 6×32 AVX-512 tile, each onto the same non-zero `out`.
     #[cfg(target_arch = "x86_64")]
     fn ymm_and_zmm<const TA: bool, B: PackB>(a: &[f32], b: &B, m: usize, k: usize, n: usize) -> [Vec<f32>; 2] {
-        let (mut apack, mut bpack) = (vec![0.0; MC * KC], vec![0.0; KC * ZMM_NR]);
+        let mut pack = (vec![0.0; MC * KC], vec![0.0; KC * ZMM_NR]);
         let mut ymm = rndvec(m * n, 99);
         let mut zmm = ymm.clone();
         // SAFETY: the caller checked that `isa()` is `Isa::Avx512`, which
         // includes AVX2 and FMA.
         unsafe {
-            gebp_ymm::<TA, B>(a, b, m, k, n, 0, m, &mut ymm, &mut apack, &mut bpack);
-            gebp_zmm::<TA, B>(a, b, m, k, n, 0, m, &mut zmm, &mut apack, &mut bpack);
+            gebp_ymm::<TA, B>(a, b, Mkn { m, k, n }, 0..m, &mut ymm, &mut pack);
+            gebp_zmm::<TA, B>(a, b, Mkn { m, k, n }, 0..m, &mut zmm, &mut pack);
         }
         [ymm, zmm]
     }
@@ -1526,7 +1378,7 @@ mod tests {
         let a = rndvec(m * k, 1);
         let b = rndvec(k * n, 2);
         let mut out = vec![0.0; m * n];
-        par_matmul(&Executor::serial(), &a, &b, m, k, n, &mut out);
+        par_matmul(&Executor::serial(), &a, &b, Mkn { m, k, n }, &mut out);
         let want = naive_matmul(&a, &b, m, k, n);
         for (x, y) in out.iter().zip(want.iter()) {
             assert!((x - y).abs() < 1e-5);
@@ -1540,11 +1392,11 @@ mod tests {
         for &(m, k, n) in
             &[(64usize, 64usize, 64usize), (67, 300, 95), (131, 40, 33), (70, 257, 17), (6, 128, 48)]
         {
-            assert!(use_blocked(m, k, n), "test size must take the blocked path");
+            assert!(Mkn { m, k, n }.blocked(Policy::Shape), "test size must take the blocked path");
             let a = rndvec(m * k, (m + n) as u32);
             let b = rndvec(k * n, (k + 7) as u32);
             let mut out = vec![0.0; m * n];
-            par_matmul(&Executor::serial(), &a, &b, m, k, n, &mut out);
+            par_matmul(&Executor::serial(), &a, &b, Mkn { m, k, n }, &mut out);
             assert_close(&out, &naive_matmul(&a, &b, m, k, n), 1e-4, "blocked matmul");
         }
     }
@@ -1559,7 +1411,7 @@ mod tests {
             let b = rndvec(k * n, 4);
             let want = naive_matmul(&a, &naive_transpose2d(&b, k, n), m, n, k);
             let mut out = vec![0.0; m * k];
-            par_bmm_acc_nt(&ex, &a, &b, 1, m, k, n, &mut out);
+            par_bmm::<false, true>(&ex, &a, &b, 1, Mkn { m, k: n, n: k }, &mut out);
             assert_close(&out, &want, 1e-4, "acc_nt");
         }
     }
@@ -1573,7 +1425,7 @@ mod tests {
             let b = rndvec(m * n, 6);
             let want = naive_matmul(&naive_transpose2d(&a, m, k), &b, k, m, n);
             let mut out = vec![0.0; k * n];
-            par_bmm_acc_tn(&ex, &a, &b, 1, m, k, n, &mut out);
+            par_bmm::<true, false>(&ex, &a, &b, 1, Mkn { m: k, k: m, n }, &mut out);
             assert_close(&out, &want, 1e-4, "acc_tn");
         }
     }
@@ -1582,7 +1434,7 @@ mod tests {
     fn acc_variants_accumulate() {
         let a = vec![1.0, 0.0, 0.0, 1.0];
         let mut out = vec![10.0; 4];
-        par_bmm_acc_nt(&Executor::serial(), &a, &a, 1, 2, 2, 2, &mut out);
+        par_bmm::<false, true>(&Executor::serial(), &a, &a, 1, Mkn { m: 2, k: 2, n: 2 }, &mut out);
         assert_eq!(out, vec![11.0, 10.0, 10.0, 11.0]);
     }
 
@@ -1595,11 +1447,11 @@ mod tests {
             let a = rndvec(bsz * m * k, 11);
             let b = rndvec(bsz * k * n, 12);
             let mut out = vec![0.0; bsz * m * n];
-            par_bmm(&ex, &a, &b, bsz, m, k, n, &mut out);
+            par_bmm::<false, false>(&ex, &a, &b, bsz, Mkn { m, k, n }, &mut out);
             for bi in 0..bsz {
                 let mut want = vec![0.0; m * n];
                 let (ab, bb) = (&a[bi * m * k..(bi + 1) * m * k], &b[bi * k * n..(bi + 1) * k * n]);
-                par_matmul(&ex, ab, bb, m, k, n, &mut want);
+                par_matmul(&ex, ab, bb, Mkn { m, k, n }, &mut want);
                 assert_eq!(&out[bi * m * n..(bi + 1) * m * n], &want[..], "bsz={bsz} m={m}");
             }
         }
@@ -1707,30 +1559,30 @@ mod tests {
                 let ex = Executor::with_threads(threads);
 
                 let mut serial = vec![0.0; m * n];
-                par_matmul(&se, &a, &b, m, k, n, &mut serial);
+                par_matmul(&se, &a, &b, Mkn { m, k, n }, &mut serial);
                 let mut par = vec![0.0; m * n];
-                par_matmul(&ex, &a, &b, m, k, n, &mut par);
+                par_matmul(&ex, &a, &b, Mkn { m, k, n }, &mut par);
                 assert_eq!(serial, par, "matmul {m}x{k}x{n} threads={threads}");
 
                 let mut serial = vec![0.5; m * n]; // accumulate onto non-zero
-                par_bmm_acc_nt(&se, &a, &b, 1, m, n, k, &mut serial);
+                par_bmm::<false, true>(&se, &a, &b, 1, Mkn { m, k, n }, &mut serial);
                 // note: acc_nt reads A as m×n here; reuse shapes that fit.
                 let mut par = vec![0.5; m * n];
-                par_bmm_acc_nt(&ex, &a, &b, 1, m, n, k, &mut par);
+                par_bmm::<false, true>(&ex, &a, &b, 1, Mkn { m, k, n }, &mut par);
                 assert_eq!(serial, par, "acc_nt {m}x{k}x{n} threads={threads}");
 
                 let a2 = rndvec(m * k, 25);
                 let b2 = rndvec(m * n, 26);
                 let mut serial = vec![0.25; k * n];
-                par_bmm_acc_tn(&se, &a2, &b2, 1, m, k, n, &mut serial);
+                par_bmm::<true, false>(&se, &a2, &b2, 1, Mkn { m: k, k: m, n }, &mut serial);
                 let mut par = vec![0.25; k * n];
-                par_bmm_acc_tn(&ex, &a2, &b2, 1, m, k, n, &mut par);
+                par_bmm::<true, false>(&ex, &a2, &b2, 1, Mkn { m: k, k: m, n }, &mut par);
                 assert_eq!(serial, par, "acc_tn {m}x{k}x{n} threads={threads}");
 
                 let mut serial = vec![0.0; bsz * m * n];
-                par_bmm(&se, &ba, &bb, bsz, m, k, n, &mut serial);
+                par_bmm::<false, false>(&se, &ba, &bb, bsz, Mkn { m, k, n }, &mut serial);
                 let mut par = vec![0.0; bsz * m * n];
-                par_bmm(&ex, &ba, &bb, bsz, m, k, n, &mut par);
+                par_bmm::<false, false>(&ex, &ba, &bb, bsz, Mkn { m, k, n }, &mut par);
                 assert_eq!(serial, par, "bmm {m}x{k}x{n} threads={threads}");
 
                 let mut sm_serial = rndvec(41 * 13, 27);
@@ -1761,37 +1613,33 @@ mod tests {
             // dA += dC·Bᵀ, per batch serial vs global-row parallel.
             let mut want = vec![0.1; bsz * m * k];
             for bi in 0..bsz {
-                par_bmm_acc_nt(
+                par_bmm::<false, true>(
                     &se,
                     &dc[bi * m * n..(bi + 1) * m * n],
                     &b[bi * k * n..(bi + 1) * k * n],
                     1,
-                    m,
-                    k,
-                    n,
+                    Mkn { m, k: n, n: k },
                     &mut want[bi * m * k..(bi + 1) * m * k],
                 );
             }
             let mut got = vec![0.1; bsz * m * k];
-            par_bmm_acc_nt(&ex, &dc, &b, bsz, m, k, n, &mut got);
+            par_bmm::<false, true>(&ex, &dc, &b, bsz, Mkn { m, k: n, n: k }, &mut got);
             assert_eq!(want, got, "acc_nt bsz={bsz} m={m}");
 
             // dB += Aᵀ·dC, per batch serial vs global-row parallel.
             let mut want = vec![0.2; bsz * k * n];
             for bi in 0..bsz {
-                par_bmm_acc_tn(
+                par_bmm::<true, false>(
                     &se,
                     &a[bi * m * k..(bi + 1) * m * k],
                     &dc[bi * m * n..(bi + 1) * m * n],
                     1,
-                    m,
-                    k,
-                    n,
+                    Mkn { m: k, k: m, n },
                     &mut want[bi * k * n..(bi + 1) * k * n],
                 );
             }
             let mut got = vec![0.2; bsz * k * n];
-            par_bmm_acc_tn(&ex, &a, &dc, bsz, m, k, n, &mut got);
+            par_bmm::<true, false>(&ex, &a, &dc, bsz, Mkn { m: k, k: m, n }, &mut got);
             assert_eq!(want, got, "acc_tn bsz={bsz} m={m}");
         }
     }
@@ -1803,7 +1651,7 @@ mod tests {
         let a = rndvec(m * k, 41);
         let b = rndvec(k * n, 42);
         let mut out = vec![0.0; m * n];
-        par_matmul(&ex, &a, &b, m, k, n, &mut out);
+        par_matmul(&ex, &a, &b, Mkn { m, k, n }, &mut out);
         let st = ex.stats();
         assert_eq!((st.tasks_dispatched, st.parallel_tasks), (1, 0), "tiny matmul must stay serial");
 
@@ -1814,7 +1662,7 @@ mod tests {
         let a = rndvec(m * k, 43);
         let b = rndvec(k * n, 44);
         let mut out = vec![0.0; m * n];
-        par_matmul(&ex, &a, &b, m, k, n, &mut out);
+        par_matmul(&ex, &a, &b, Mkn { m, k, n }, &mut out);
         let st = ex.stats();
         assert_eq!((st.tasks_dispatched, st.parallel_tasks), (2, 1), "large matmul must fan out");
 
@@ -1823,13 +1671,14 @@ mod tests {
         let ba = rndvec(bsz * m * k, 45);
         let bb = rndvec(bsz * k * n, 46);
         let mut bout = vec![0.0; bsz * m * n];
-        par_bmm(&ex, &ba, &bb, bsz, m, k, n, &mut bout);
+        par_bmm::<false, false>(&ex, &ba, &bb, bsz, Mkn { m, k, n }, &mut bout);
         let st = ex.stats();
         assert_eq!((st.tasks_dispatched, st.parallel_tasks), (3, 1), "tiny bmm must stay serial");
     }
 
     /// Unfused attention reference: materialized scores → softmax → bmm.
-    fn naive_attention(q: &[f32], k: &[f32], v: &[f32], bsz: usize, tq: usize, tk: usize, d: usize, scale: f32) -> Vec<f32> {
+    fn naive_attention([q, k, v]: [&[f32]; 3], heads: Heads) -> Vec<f32> {
+        let Heads { bsz, tq, tk, d, scale } = heads;
         let ex = Executor::serial();
         let mut out = vec![0.0; bsz * tq * d];
         let mut scores = vec![0.0f32; tk];
@@ -1856,36 +1705,36 @@ mod tests {
     #[test]
     fn fused_attention_matches_unfused_reference() {
         let (bsz, tq, tk, d) = (3usize, 9usize, 9usize, 12usize);
-        let scale = 1.0 / (d as f32).sqrt();
+        let heads = Heads { bsz, tq, tk, d, scale: 1.0 / (d as f32).sqrt() };
         let q = rndvec(bsz * tq * d, 51);
         let k = rndvec(bsz * tk * d, 52);
         let v = rndvec(bsz * tk * d, 53);
         let ex = Executor::serial();
         let mut out = vec![0.0; bsz * tq * d];
-        par_attention(&ex, &q, &k, &v, bsz, tq, tk, d, scale, &mut out);
-        assert_close(&out, &naive_attention(&q, &k, &v, bsz, tq, tk, d, scale), 1e-5, "attention");
+        par_attention(&ex, [&q, &k, &v], heads, &mut out);
+        assert_close(&out, &naive_attention([&q, &k, &v], heads), 1e-5, "attention");
     }
 
     #[test]
     fn parallel_attention_bitwise_matches_serial() {
         let (bsz, tq, tk, d) = (5usize, 33usize, 33usize, 16usize);
-        let scale = 0.25;
+        let heads = Heads { bsz, tq, tk, d, scale: 0.25 };
         let q = rndvec(bsz * tq * d, 61);
         let k = rndvec(bsz * tk * d, 62);
         let v = rndvec(bsz * tk * d, 63);
         let dout = rndvec(bsz * tq * d, 64);
         let serial = Executor::serial();
         let mut want = vec![0.0; bsz * tq * d];
-        par_attention(&serial, &q, &k, &v, bsz, tq, tk, d, scale, &mut want);
+        par_attention(&serial, [&q, &k, &v], heads, &mut want);
         let (mut wq, mut wk, mut wv) = (vec![0.0; q.len()], vec![0.0; k.len()], vec![0.0; v.len()]);
-        par_attention_backward(&serial, &q, &k, &v, &dout, bsz, tq, tk, d, scale, &mut wq, &mut wk, &mut wv);
+        par_attention_backward(&serial, [&q, &k, &v], &dout, heads, [&mut wq, &mut wk, &mut wv]);
         for threads in [2usize, 4] {
             let ex = Executor::with_threads(threads);
             let mut got = vec![0.0; bsz * tq * d];
-            par_attention(&ex, &q, &k, &v, bsz, tq, tk, d, scale, &mut got);
+            par_attention(&ex, [&q, &k, &v], heads, &mut got);
             assert_eq!(want, got, "attention fwd threads={threads}");
             let (mut gq, mut gk, mut gv) = (vec![0.0; q.len()], vec![0.0; k.len()], vec![0.0; v.len()]);
-            par_attention_backward(&ex, &q, &k, &v, &dout, bsz, tq, tk, d, scale, &mut gq, &mut gk, &mut gv);
+            par_attention_backward(&ex, [&q, &k, &v], &dout, heads, [&mut gq, &mut gk, &mut gv]);
             assert_eq!(wq, gq, "attention dQ threads={threads}");
             assert_eq!(wk, gk, "attention dK threads={threads}");
             assert_eq!(wv, gv, "attention dV threads={threads}");
@@ -1895,7 +1744,7 @@ mod tests {
     #[test]
     fn attention_backward_matches_finite_differences() {
         let (bsz, tq, tk, d) = (2usize, 4usize, 4usize, 3usize);
-        let scale = 1.0 / (d as f32).sqrt();
+        let heads = Heads { bsz, tq, tk, d, scale: 1.0 / (d as f32).sqrt() };
         let q = rndvec(bsz * tq * d, 71);
         let k = rndvec(bsz * tk * d, 72);
         let v = rndvec(bsz * tk * d, 73);
@@ -1905,11 +1754,11 @@ mod tests {
         // exactly what par_attention_backward accumulates.
         let loss = |q: &[f32], k: &[f32], v: &[f32]| -> f64 {
             let mut out = vec![0.0; bsz * tq * d];
-            par_attention(&ex, q, k, v, bsz, tq, tk, d, scale, &mut out);
+            par_attention(&ex, [q, k, v], heads, &mut out);
             out.iter().zip(dout.iter()).map(|(&o, &g)| o as f64 * g as f64).sum()
         };
         let (mut gq, mut gk, mut gv) = (vec![0.0; q.len()], vec![0.0; k.len()], vec![0.0; v.len()]);
-        par_attention_backward(&ex, &q, &k, &v, &dout, bsz, tq, tk, d, scale, &mut gq, &mut gk, &mut gv);
+        par_attention_backward(&ex, [&q, &k, &v], &dout, heads, [&mut gq, &mut gk, &mut gv]);
         let eps = 1e-3f32;
         let check = |name: &str, base: &[f32], grad: &[f32], which: usize| {
             for i in 0..base.len() {
@@ -1933,5 +1782,44 @@ mod tests {
         check("dQ", &q, &gq, 0);
         check("dK", &k, &gk, 1);
         check("dV", &v, &gv, 2);
+    }
+
+    /// `exp_approx` as it was written before its clamp and two literals
+    /// were reworded for clippy, operation for operation: the two literals
+    /// are parsed from their old source text (the compiler rounds a literal
+    /// the same way `str::parse` does), and the clamp is the old `max` then
+    /// `min`, with `min`'s operands swapped (`minNum` is commutative).
+    fn exp_approx_before(x: f32) -> f32 {
+        let lit = |text: &str| text.replace('_', "").parse::<f32>().unwrap();
+        let ln2_hi = lit("0.693_359_375");
+        const LN2_LO: f32 = -2.121_944_4e-4;
+        let x = 88.0f32.min(x.max(-87.0));
+        const RND: f32 = 12_582_912.0;
+        let shifted = x * std::f32::consts::LOG2_E + RND;
+        let nf = shifted - RND;
+        let r = (x - nf * ln2_hi) - nf * LN2_LO;
+        let mut p = 1.987_569_2e-4_f32;
+        p = p * r + 1.398_199_9e-3;
+        p = p * r + 8.333_452e-3;
+        p = p * r + 4.166_579_6e-2;
+        p = p * r + 1.666_666_5e-1;
+        p = p * r + lit("5.000_000_1e-1");
+        let e = (p * r * r + r) + 1.0;
+        let n = shifted.to_bits().wrapping_sub(RND.to_bits());
+        e * f32::from_bits(n.wrapping_add(127) << 23)
+    }
+
+    #[test]
+    fn exp_approx_keeps_its_bits_through_the_lint_rewrite() {
+        let lit = |text: &str| text.replace('_', "").parse::<f32>().unwrap();
+        assert_eq!(0.693_359_4f32.to_bits(), lit("0.693_359_375").to_bits(), "LN2_HI");
+        assert_eq!(0.5f32.to_bits(), lit("5.000_000_1e-1").to_bits(), "the 1/2 coefficient");
+        // NaN clamps to -87 rather than propagating, so the result is finite.
+        assert!(exp_approx(f32::NAN).is_finite());
+        let specials = [f32::NAN, -f32::NAN, f32::from_bits(0x7f80_0001), f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, -87.0, 88.0];
+        let sweep = (0..=u32::MAX).step_by(997).map(f32::from_bits);
+        for x in specials.into_iter().chain(sweep) {
+            assert_eq!(exp_approx(x).to_bits(), exp_approx_before(x).to_bits(), "x = {x:e} ({:#010x})", x.to_bits());
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! `m·k·n` blocking threshold (16×16 flips at m = 32), fill partial micro
 //! tiles (n = 17, 40) and span two k-blocks (k = 300).
 
-use tfmae_tensor::kernels::{matmul_quant, par_matmul};
+use tfmae_tensor::kernels::{matmul_quant, par_matmul, Mkn};
 use tfmae_tensor::{f32_to_bf16, Executor, QuantData};
 
 fn rndvec(n: usize, seed: u32) -> Vec<f32> {
@@ -53,12 +53,12 @@ fn matmul_rows_are_bitwise_independent_of_the_row_count() {
         let b = rndvec(k * n, 11);
         assert_rows_invariant("serial par_matmul", k, n, &|a, m| {
             let mut out = vec![0.0; m * n];
-            par_matmul(&serial, a, &b, m, k, n, &mut out);
+            par_matmul(&serial, a, &b, Mkn { m, k, n }, &mut out);
             out
         });
         assert_rows_invariant("par_matmul", k, n, &|a, m| {
             let mut out = vec![0.0; m * n];
-            par_matmul(&par, a, &b, m, k, n, &mut out);
+            par_matmul(&par, a, &b, Mkn { m, k, n }, &mut out);
             out
         });
     }
@@ -87,7 +87,7 @@ fn matmul_quant_rows_are_bitwise_independent_of_the_row_count() {
         for (name, q) in [("bf16", &bf16), ("int8", &int8)] {
             assert_rows_invariant(&format!("matmul_quant {name}"), k, n, &|a, m| {
                 let mut out = vec![0.0; m * n];
-                matmul_quant(&exec, a, q, m, k, n, &mut out);
+                matmul_quant(&exec, a, q, Mkn { m, k, n }, &mut out);
                 out
             });
         }

@@ -68,12 +68,12 @@ fn bias_act_forward_matches_unfused_chain() {
     let x = g.constant(rndvec(6 * 5, 31), vec![6, 5]);
     let b = g.constant(rndvec(5, 32), vec![5]);
     assert_parity(
-        &g.value(g.bias_gelu(x, b)),
+        &g.value(g.bias_act(x, b, ActKind::Gelu)),
         &g.value(g.gelu(g.add(x, b))),
         "bias_gelu",
     );
     assert_parity(
-        &g.value(g.bias_relu(x, b)),
+        &g.value(g.bias_act(x, b, ActKind::Relu)),
         &g.value(g.relu(g.add(x, b))),
         "bias_relu",
     );

@@ -6,7 +6,7 @@
 //! registry are process-global.
 
 use tfmae_obs::Instrument;
-use tfmae_tensor::{Graph, ParamId, ParamStore};
+use tfmae_tensor::{ActKind, Graph, ParamId, ParamStore};
 
 /// Every `tensor.op.*` counter in the global registry.
 fn op_counters() -> Vec<(&'static str, u64)> {
@@ -25,7 +25,7 @@ fn build(g: &Graph) {
     let x = g.constant_from(&[0.5, -1.0, 2.0, 0.25, 1.5, -0.75], vec![2, 3]);
     let w = g.constant_from(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![3, 2]);
     let b = g.constant_from(&[0.1, -0.1], vec![2]);
-    let y = g.bias_gelu(g.matmul(x, w), b);
+    let y = g.bias_act(g.matmul(x, w), b, ActKind::Gelu);
     let m = g.mean_last(y, true);
     g.sum_all(g.sub(y, m));
 }
@@ -35,7 +35,7 @@ fn build(g: &Graph) {
 fn build_and_backward(g: &Graph, ps: &ParamStore) {
     let x = g.constant_from(&[0.5, -1.0, 2.0, 0.25, 1.5, -0.75], vec![2, 3]);
     let (w, b) = (g.param(ps, ParamId(0)), g.param(ps, ParamId(1)));
-    let y = g.bias_gelu(g.matmul(x, w), b);
+    let y = g.bias_act(g.matmul(x, w), b, ActKind::Gelu);
     let m = g.mean_last(y, true);
     let loss = g.sum_all(g.sub(y, m));
     g.recycle_gradients(g.backward(loss));
