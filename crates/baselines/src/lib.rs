@@ -2,7 +2,7 @@
 //!
 //! The comparator suite of the TFMAE paper (Table III), reimplemented
 //! from scratch on the workspace substrates and run behind a single
-//! [`Detector`](tfmae_data::Detector) interface under the paper's exact
+//! [`Detector`] interface under the paper's exact
 //! protocol (identical windows, normalization, validation thresholding and
 //! point adjustment — §V-A5).
 //!

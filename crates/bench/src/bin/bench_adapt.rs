@@ -203,7 +203,6 @@ fn adaptation_policy() -> AdaptationConfig {
     ad.finetune.enabled = true;
     ad.finetune.interval = 256;
     ad.finetune.reservoir = 32;
-    ad.finetune.batch = 8;
     ad.finetune.steps = 2;
     ad
 }

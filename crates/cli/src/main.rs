@@ -13,7 +13,7 @@ use std::process::ExitCode;
 
 use tfmae_core::{
     AdaptationConfig, FinetuneConfig, Precision, QuantStore, ServingConfig, ServingEngine,
-    TfmaeConfig, TfmaeDetector,
+    StreamVerdict, TfmaeConfig, TfmaeDetector,
 };
 use tfmae_data::{
     generate, read_csv, read_csv_lenient, write_csv, DatasetKind, Detector, TimeSeries,
@@ -33,11 +33,10 @@ USAGE:
   tfmae quantize --model FILE.json --out OUT.json [--precision <bf16|int8>]
   tfmae serve    --model FILE.json --input FILE.csv [--input FILE.csv ...]
                  (--threshold F | --val FILE.csv [--ratio F]) [--hop N]
-                 [--precision <f32|bf16|int8>] [--refresh-every N]
-                 [--out-dir DIR] [--lenient]
+                 [--precision <f32|bf16|int8>] [--out-dir DIR] [--lenient]
                  [--metrics-out FILE.json] [--metrics-prom FILE.prom]
                  [--adapt] [--adapt-ratio F] [--adapt-every N] [--adapt-min-samples N]
-                 [--adapt-window N] [--adapt-holdoff N] [--adapt-finetune]
+                 [--adapt-window N] [--adapt-finetune]
                  [--adapt-save OUT.json]
   tfmae server   --listen ADDR --registry DIR [--workers N] [--queue-cap N]
                  [--max-body BYTES] [--drain-grace-secs N]
@@ -55,11 +54,11 @@ the same tick are scored in one cross-stream batch, and per-stream verdicts
 (t, score, is_anomaly, quality) land in DIR/stream_<i>.csv when --out-dir is
 given. --val both derives the threshold (at --ratio, default 0.01) and
 freezes each stream's score calibration so online scores match the offline
-scale. --refresh-every tunes the exact re-seed cadence of the incremental
-masking state (default 64 hops). The engine spreads ingest and scoring
-over TFMAE_THREADS threads (default: all cores) by itself, fanning a tick's
-ingest out only when its rows are wide enough to pay for it; verdicts are
-bitwise identical at any thread count.
+scale. The engine re-seeds its incremental masking state exactly every 64
+scored hops, and spreads ingest and scoring over TFMAE_THREADS threads
+(default: all cores) by itself, fanning a tick's ingest out only when its
+rows are wide enough to pay for it; verdicts are bitwise identical at any
+thread count.
 
 --patch-len folds that many consecutive time steps into one temporal token
 (Ti-MAE-style patch embedding): attention cost in the temporal branch drops
@@ -81,7 +80,7 @@ the exact f32 model. Quantized serving releases the f32 weights, so
 bitwise identical to the frozen engine): δ is recalibrated to the (1 − r)
 quantile of recent clean serving scores every --adapt-every clean windows
 (r from --adapt-ratio, default 0.02), with quarantined/degraded rows held
-out of calibration and a --adapt-holdoff re-entry delay after quarantine.
+out of calibration and a 4-window re-entry delay after quarantine.
 --adapt-finetune additionally fine-tunes the model in the background on a
 reservoir of clean windows; each update is snapshotted first and rolled
 back (with exponential cadence backoff) if post-update scores leave the
@@ -488,10 +487,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             Err(_) => return Err(CliError::Usage(format!("bad value for --threshold: {t:?}"))),
         },
     };
-    let refresh_every: usize = args.num("refresh-every", 64)?;
-    if refresh_every == 0 {
-        return Err(CliError::Usage("--refresh-every must be >= 1".into()));
-    }
     let metrics_out = metrics_path(args, "metrics-out")?;
     let metrics_prom = metrics_path(args, "metrics-prom")?;
     let metrics_on = metrics_out.is_some() || metrics_prom.is_some();
@@ -502,7 +497,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         "adapt-every",
         "adapt-min-samples",
         "adapt-window",
-        "adapt-holdoff",
         "adapt-finetune",
         "adapt-save",
     ] {
@@ -543,7 +537,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         )));
     }
     let win_len = det.cfg.win_len;
-    let hop: usize = args.num("hop", (win_len / 4).max(1))?;
+    let hop: usize = args.num("hop", ServingConfig::default_hop(win_len))?;
     if !(1..=win_len).contains(&hop) {
         return Err(CliError::Usage(format!(
             "--hop must be in 1..={win_len} (the model's window length), got {hop}"
@@ -582,7 +576,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     };
 
     let mut cfg = ServingConfig::new(threshold, hop);
-    cfg.refresh_every = refresh_every;
     cfg.precision = precision;
     if adapt_on {
         let base = AdaptationConfig::enabled();
@@ -591,7 +584,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             recalibrate_every: args.num("adapt-every", base.recalibrate_every)?,
             min_samples: args.num("adapt-min-samples", base.min_samples)?,
             window: args.num("adapt-window", base.window)?,
-            holdoff: args.num("adapt-holdoff", base.holdoff)?,
             finetune: FinetuneConfig { enabled: args.has("adapt-finetune"), ..base.finetune },
             ..base
         };
@@ -667,7 +659,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     println!(
         "served {} stream(s): {total_rows} rows, {total_verdicts} verdicts, \
          {anomalies} anomalies (threshold δ = {threshold:.6}, hop {hop}, precision {precision}, \
-         incremental, refresh every {refresh_every}, kernels {})",
+         incremental, kernels {})",
         streams_data.len(),
         tfmae::tensor::kernel_isa()
     );
@@ -712,16 +704,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 std::fs::File::create(&path).map_err(|e| CliError::Data(e.to_string()))?,
             );
             let write = (|| -> std::io::Result<()> {
-                writeln!(f, "t,score,is_anomaly,quality")?;
+                writeln!(f, "{}", StreamVerdict::CSV_HEADER)?;
                 for v in &per_stream[id] {
-                    writeln!(
-                        f,
-                        "{},{},{},{:?}",
-                        v.verdict.t,
-                        v.verdict.score,
-                        v.verdict.is_anomaly as u8,
-                        v.verdict.quality
-                    )?;
+                    writeln!(f, "{}", v.verdict)?;
                 }
                 f.flush()
             })();
@@ -808,10 +793,9 @@ fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
         "evaluate" => &["model", "input", "val", "ratio", "lenient"],
         "quantize" => &["model", "out", "precision"],
         "serve" => &[
-            "model", "input", "threshold", "val", "ratio", "hop", "precision", "refresh-every",
-            "out-dir", "lenient", "metrics-out", "metrics-prom", "adapt", "adapt-ratio",
-            "adapt-every", "adapt-min-samples", "adapt-window", "adapt-holdoff", "adapt-finetune",
-            "adapt-save",
+            "model", "input", "threshold", "val", "ratio", "hop", "precision", "out-dir",
+            "lenient", "metrics-out", "metrics-prom", "adapt", "adapt-ratio", "adapt-every",
+            "adapt-min-samples", "adapt-window", "adapt-finetune", "adapt-save",
         ],
         "server" => &["listen", "registry", "workers", "queue-cap", "max-body", "drain-grace-secs"],
         "models" => &["registry"],

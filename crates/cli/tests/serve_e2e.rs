@@ -166,13 +166,16 @@ fn serve_rejects_out_of_range_hop_threshold_and_refresh_every() {
     let (model, data) = prepared(&dir);
     let out_dir = dir.join("never_written");
     // The model was trained with --win 32.
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--threshold", "0.5", "--hop", "0"], "--hop must be in 1..=32"),
         (&["--threshold", "0.5", "--hop", "33"], "--hop must be in 1..=32"),
         (&["--threshold", "nan"], "--threshold must be a finite number"),
         (&["--threshold", "inf"], "--threshold must be a finite number"),
         (&["--threshold", "-inf"], "--threshold must be a finite number"),
-        (&["--threshold", "0.5", "--refresh-every", "0"], "--refresh-every must be >= 1"),
+        // The refresh cadence and the post-quarantine holdoff are fixed
+        // engine constants, so their retired flags are unknown.
+        (&["--threshold", "0.5", "--refresh-every", "64"], "unknown flag --refresh-every"),
+        (&["--threshold", "0.5", "--adapt", "--adapt-holdoff", "4"], "unknown flag --adapt-holdoff"),
         (&["--threshold", "0.5", "--shards", "4"], "unknown flag --shards"),
     ];
     for (flags, want) in cases {

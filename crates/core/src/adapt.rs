@@ -57,6 +57,12 @@ const MIN_PROBATION_ROWS: u64 = 8;
 const PROBATION: usize = 64;
 /// Cap on the exponential cadence backoff multiplier.
 const MAX_BACKOFF: u32 = 16;
+/// Scored windows a stream sits out after leaving quarantine before its
+/// scores re-enter the calibration window and reservoir.
+pub(crate) const HOLDOFF: usize = 4;
+/// Windows per background fine-tune step; an update waits until the
+/// reservoir holds this many.
+pub(crate) const FINETUNE_BATCH: usize = 8;
 
 /// Background fine-tune policy (one component of [`AdaptationConfig`]).
 #[derive(Clone, Debug)]
@@ -68,10 +74,8 @@ pub struct FinetuneConfig {
     /// Clean calibration scores between fine-tune updates (multiplied by
     /// the current rollback backoff).
     pub interval: usize,
-    /// Optimizer steps per update.
+    /// Optimizer steps per update (of `FINETUNE_BATCH` windows each).
     pub steps: usize,
-    /// Windows per step.
-    pub batch: usize,
 }
 
 impl Default for FinetuneConfig {
@@ -81,7 +85,6 @@ impl Default for FinetuneConfig {
             reservoir: 64,
             interval: 512,
             steps: 4,
-            batch: 8,
         }
     }
 }
@@ -107,9 +110,6 @@ pub struct AdaptationConfig {
     /// generations, so quantiles always reflect the last `window/2 ..
     /// window` clean scores.
     pub window: usize,
-    /// Scored windows a stream sits out after leaving quarantine before
-    /// its scores re-enter the calibration window and reservoir.
-    pub holdoff: usize,
     /// Background fine-tune policy.
     pub finetune: FinetuneConfig,
 }
@@ -122,7 +122,6 @@ impl Default for AdaptationConfig {
             recalibrate_every: 256,
             min_samples: 128,
             window: 1024,
-            holdoff: 4,
             finetune: FinetuneConfig::default(),
         }
     }
@@ -427,7 +426,7 @@ impl AdaptiveRuntime {
             && self.cfg.finetune.enabled
             && self.probation.is_none()
             && self.clean_since_tune >= self.cadence(self.cfg.finetune.interval)
-            && self.reservoir.len() >= self.cfg.finetune.batch.max(1)
+            && self.reservoir.len() >= FINETUNE_BATCH
     }
 
     /// Books an attempted update: stores the pre-update snapshot as

@@ -1137,11 +1137,14 @@ mod tests {
         // if the loader built the model the config describes; a forged
         // shape would reach the forward pass.
         type Forge = fn(&mut Checkpoint);
-        let forgeries: [(&str, Forge); 8] = [
+        let forgeries: [(&str, Forge); 9] = [
             ("d_model", |c| c.config.d_model = 1 << 40),
             ("d_ff", |c| c.config.d_ff = 1 << 40),
             ("layers", |c| c.config.layers = 1 << 40),
             ("win_len", |c| c.config.win_len = 1 << 40),
+            // Small enough to build, but its frequency synthesis basis
+            // would take 537 MB on the first served window.
+            ("win_len_8192", |c| c.config.win_len = 8192),
             ("overflow", |c| c.config.d_model = usize::MAX - 1),
             ("dims", |c| c.dims = 1 << 40),
             ("dims_with_norm", |c| {

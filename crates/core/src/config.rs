@@ -38,12 +38,15 @@ pub enum AdversarialMode {
     Reversed,
 }
 
-/// Longest window a config may describe (the paper fixes 100). The
-/// positional tables, `win_len × d_model` floats each, are the one buffer
-/// the model sizes from the config rather than from stored parameters, so
-/// this bound is what keeps a checkpoint's config from asking the loader
-/// for an allocation the file does not pay for.
-pub const MAX_WIN_LEN: usize = 8192;
+/// Longest window a config may describe (the paper fixes 100). Two buffers
+/// are sized from the config rather than from stored parameters: the
+/// positional tables (`win_len × d_model` floats each) and the frequency
+/// mask's synthesis basis (two f64 tables of `[win_len/2 + 1, win_len]`,
+/// built on the first frequency mask at a length). This bound is what keeps
+/// a checkpoint's config from asking for allocations the file does not pay
+/// for: at 1024 the basis is 8.4 MB and 0.5 M `sin_cos` calls, where 8192
+/// would be 537 MB and 33.6 M.
+pub const MAX_WIN_LEN: usize = 1024;
 
 /// Full hyper-parameter set for TFMAE.
 #[derive(Clone, Debug)]

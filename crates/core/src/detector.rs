@@ -14,6 +14,7 @@ use tfmae_nn::{Adam, Ctx};
 use tfmae_obs::{LazyCounter, LazyHistogram};
 use tfmae_tensor::{ExecStats, Executor, Graph, Precision, QuantStore, Var};
 
+use crate::adapt::FINETUNE_BATCH;
 use crate::config::TfmaeConfig;
 use crate::model::{BatchInputs, TfmaeModel};
 use crate::robust::{TrainGuard, TrainReport, MAX_RETRIES_PER_BATCH};
@@ -199,7 +200,7 @@ impl TfmaeDetector {
         let mut aborted = false;
         for step in 0..ft.steps {
             order.shuffle(&mut rng);
-            let b = ft.batch.clamp(1, windows.len());
+            let b = FINETUNE_BATCH.min(windows.len());
             let mut values = Vec::with_capacity(b * row);
             for &wi in order.iter().take(b) {
                 values.extend_from_slice(&windows[wi]);

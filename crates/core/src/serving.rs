@@ -26,7 +26,7 @@
 //!   advances the per-channel half-spectrum in O(L) per sample instead of a
 //!   fresh O(L log L) rfft per hop.
 //! * **Drift refresh** — the rolling recurrences accumulate floating-point
-//!   drift, so every [`ServingConfig::refresh_every`] scored hops (and on
+//!   drift, so every `REFRESH_EVERY` (64) scored hops (and on
 //!   the first hop after warm-up or quarantine re-warm) the engine re-seeds
 //!   them from the exact batch path: `temporal_statistic` for the temporal
 //!   stat and a full rfft for the spectrum. Refresh-hop verdicts
@@ -81,6 +81,7 @@
 //! detector. Per-lane counters (`serve.lane<k>.chunks/steals`) roll the
 //! lane dimension up into the process registry.
 
+use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -89,7 +90,9 @@ use tfmae_fft::{Complex64, RollingStats, SlidingDft, CV_EPS};
 use tfmae_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use tfmae_tensor::{gated_min_chunk, ExecStats, Executor, Graph, Precision, QuantStore};
 
-use crate::adapt::{param_hash, AdaptationConfig, AdaptationStats, AdaptiveRuntime, AdaptiveSnapshot};
+use crate::adapt::{
+    param_hash, AdaptationConfig, AdaptationStats, AdaptiveRuntime, AdaptiveSnapshot, HOLDOFF,
+};
 use crate::config::{TemporalMaskKind, TfmaeConfig};
 use crate::detector::TfmaeDetector;
 use crate::masking::frequency::{frequency_mask_from_spectra, FrequencyMaskData};
@@ -138,6 +141,11 @@ const QUARANTINE_AFTER: usize = 16;
 /// 3,264) and the daemon's wide tenant (8 × 38 × 51 = 15,504) ingest
 /// inline, `serve_wide` (128 × 38 × 51 = 248,064) fans out.
 const MIN_PAR_INGEST: usize = 32 * 1024;
+/// Scored hops between exact re-seeds of a stream's incremental masking
+/// state (rolling stats + sliding DFT) from the batch path. Lower bounds
+/// drift tighter at the price of a full `temporal_statistic` + rfft per
+/// refresh; the parity tests pin the drift between refreshes at ≤ 1e-5.
+const REFRESH_EVERY: usize = 64;
 
 /// Stream operating mode (see [`StreamHealth`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,6 +198,21 @@ pub struct StreamVerdict {
     pub quality: DataQuality,
 }
 
+impl StreamVerdict {
+    /// Header of the verdict CSV whose data lines are
+    /// [`StreamVerdict`]'s `Display`.
+    pub const CSV_HEADER: &'static str = "t,score,is_anomaly,quality";
+}
+
+/// One verdict CSV line without its newline, `t,score,is_anomaly,quality`
+/// (e.g. `17,0.0423,0,Clean`): the line format of `tfmae serve --out-dir`
+/// files and of the daemon's poll bodies.
+impl fmt::Display for StreamVerdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{},{},{},{:?}", self.t, self.score, u8::from(self.is_anomaly), self.quality)
+    }
+}
+
 /// Serving-side policy shared by every stream of a [`ServingEngine`].
 #[derive(Clone, Debug)]
 pub struct ServingConfig {
@@ -197,11 +220,6 @@ pub struct ServingConfig {
     pub threshold: f32,
     /// Observations between scoring passes per stream (1 ≤ hop ≤ win_len).
     pub hop: usize,
-    /// Scored hops between exact re-seeds of the incremental masking state
-    /// (rolling stats + sliding DFT). Lower bounds drift tighter at the
-    /// price of a full `temporal_statistic` + rfft per refresh; `1` refreshes
-    /// every hop.
-    pub refresh_every: usize,
     /// Drift adaptation (threshold recalibration, background fine-tune,
     /// guard-band rollback). **Off** by default; with
     /// `adaptation.enabled == false` verdicts are bitwise identical to the
@@ -222,13 +240,17 @@ pub struct ServingConfig {
 }
 
 impl ServingConfig {
-    /// Defaults: degraded mode on, refresh every 64 hops, f32 weights,
-    /// adaptation off.
+    /// The hop a front-end serves at when none is given: a quarter
+    /// window, at least one row.
+    pub fn default_hop(win_len: usize) -> usize {
+        (win_len / 4).max(1)
+    }
+
+    /// Defaults: degraded mode on, f32 weights, adaptation off.
     pub fn new(threshold: f32, hop: usize) -> Self {
         Self {
             threshold,
             hop,
-            refresh_every: 64,
             adaptation: AdaptationConfig::default(),
             precision: Precision::F32,
             shards: 1,
@@ -518,16 +540,14 @@ impl ServingEngine {
     /// [`ServingEngine::add_stream`].
     ///
     /// # Panics
-    /// Panics if the detector has not been fitted, if
-    /// `cfg.hop ∉ 1..=win_len` or `cfg.refresh_every == 0`, or if
-    /// `cfg.precision` cannot be applied (e.g. `F32` requested on an
+    /// Panics if the detector has not been fitted, if `cfg.hop ∉ 1..=win_len`,
+    /// or if `cfg.precision` cannot be applied (e.g. `F32` requested on an
     /// already-quantized detector whose f32 weights are gone).
     pub fn new(mut det: TfmaeDetector, cfg: ServingConfig) -> Self {
         let model = det.model().expect("ServingEngine requires a fitted detector");
         let win_len = det.cfg.win_len;
         let dims = model.dims();
         assert!((1..=win_len).contains(&cfg.hop), "hop must be in 1..=win_len");
-        assert!(cfg.refresh_every >= 1, "refresh_every must be >= 1");
         if let Err(e) = det.set_precision(cfg.precision) {
             panic!("ServingConfig::precision: {e}");
         }
@@ -1102,10 +1122,10 @@ fn ingest_row(
         s.consecutive_bad = 0;
         if s.health.mode == StreamMode::Quarantine {
             // Clean data ends quarantine; re-warm from empty. The stream
-            // additionally sits out `holdoff` scored windows before its
+            // additionally sits out `HOLDOFF` scored windows before its
             // scores re-enter calibration (see `crate::adapt`).
             s.health.mode = StreamMode::Normal;
-            s.calib_holdoff = cfg.adaptation.holdoff;
+            s.calib_holdoff = HOLDOFF;
             static QUARANTINE_EXITS: LazyCounter = LazyCounter::new("serve.quarantine_exits");
             QUARANTINE_EXITS.inc();
             tfmae_obs::event("serve.quarantine_exit");
@@ -1200,7 +1220,7 @@ fn ingest_row(
     let base_t = s.pushed - newest as u64;
     let frozen = s.frozen_norms;
     // Calibration eligibility: a stream fresh out of quarantine sits
-    // out `holdoff` scored windows; reservoir eligibility additionally
+    // out `HOLDOFF` scored windows; reservoir eligibility additionally
     // requires every retained sample to be Clean.
     let calib = if s.calib_holdoff > 0 {
         s.calib_holdoff -= 1;
@@ -1210,7 +1230,7 @@ fn ingest_row(
     };
     let window_clean = s.quals.iter().all(|&q| q == DataQuality::Clean);
 
-    let refresh = s.hops_since_refresh == 0 || s.hops_since_refresh >= cfg.refresh_every;
+    let refresh = s.hops_since_refresh == 0 || s.hops_since_refresh >= REFRESH_EVERY;
     if refresh {
         static SDFT_REFRESHES: LazyCounter = LazyCounter::new("serve.sdft_refreshes");
         SDFT_REFRESHES.inc();
@@ -1476,6 +1496,67 @@ mod tests {
         let mut eng = ServingEngine::new(det, cfg);
         eng.add_stream();
         eng
+    }
+
+    #[test]
+    fn sliding_spectra_re_seed_exactly_every_refresh_every_hops() {
+        // The verdict parity tests cannot see the cadence: the f64 drift of
+        // the sliding DFT stays below f32 rounding, so an engine that never
+        // re-seeds scores the same bits there. The spectra show it: after
+        // hop k they equal a fresh rfft of the window iff k is a refresh hop.
+        let det = fitted();
+        let win = det.cfg.win_len;
+        let hop = 2;
+        let data = series(win + hop * 2 * REFRESH_EVERY, 9);
+        let mut eng = one_stream(det, ServingConfig::new(f32::MAX, hop));
+        let (mut k, mut drifted) = (0, 0);
+        for t in 0..data.len() {
+            if eng.tick(&[(0, data.row(t))]).verdicts.is_empty() {
+                continue;
+            }
+            let s = &eng.streams[0];
+            let window: Vec<f64> = s.snapshot(win, 1).into_iter().map(f64::from).collect();
+            let mut fresh = SlidingDft::new(win);
+            fresh.init(&window);
+            let exact = s.sdft[0].spectrum() == fresh.spectrum();
+            if k % REFRESH_EVERY == 0 {
+                assert!(exact, "hop {k} must re-seed the spectra exactly");
+            }
+            drifted += usize::from(!exact);
+            k += 1;
+        }
+        assert_eq!(k, 2 * REFRESH_EVERY + 1);
+        assert!(
+            drifted > REFRESH_EVERY,
+            "only {drifted} of {k} hops drifted: the check is blind"
+        );
+    }
+
+    #[test]
+    fn verdict_csv_lines_keep_their_bytes() {
+        // The front-ends' verdict files and poll bodies are these bytes:
+        // f32 `Display` (shortest round-trip), the flag as 0/1 and the
+        // quality's variant name.
+        use DataQuality::{Clean, Degraded, Imputed};
+        assert_eq!(StreamVerdict::CSV_HEADER, "t,score,is_anomaly,quality");
+        for (t, score, is_anomaly, quality, line) in [
+            (17, 0.0423, false, Clean, "17,0.0423,0,Clean"),
+            (0, 1.5e-7, true, Imputed, "0,0.00000015,1,Imputed"),
+            (40, -0.0, false, Degraded, "40,-0,0,Degraded"),
+            (3, 25.0, true, Clean, "3,25,1,Clean"),
+        ] {
+            let v = StreamVerdict { t, score, is_anomaly, quality };
+            assert_eq!(v.to_string(), line);
+        }
+    }
+
+    #[test]
+    fn default_hop_is_a_quarter_window_of_at_least_one_row() {
+        assert_eq!(ServingConfig::default_hop(100), 25);
+        assert_eq!(ServingConfig::default_hop(32), 8);
+        assert_eq!(ServingConfig::default_hop(10), 2);
+        assert_eq!(ServingConfig::default_hop(4), 1);
+        assert_eq!(ServingConfig::default_hop(3), 1);
     }
 
     /// Ticks one row through stream 0, returning its verdicts.

@@ -5,7 +5,7 @@
 //! which clients register streams, push rows and poll verdicts against a
 //! **multi-tenant model registry** — a directory of versioned, CRC-checked
 //! checkpoints, each activatable as an independent tenant backed by the
-//! core [`ServingEngine`].
+//! core [`ServingEngine`](tfmae_core::ServingEngine).
 //!
 //! Architecture (one process, all `std`):
 //!
@@ -387,10 +387,8 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
                     HTTP_4XX.inc();
                 }
                 if let Some(rt) = tenant {
-                    if tfmae_obs::enabled() {
-                        rt.obs.requests.inc();
-                        rt.obs.request_ns.record(elapsed);
-                    }
+                    rt.obs.requests.inc();
+                    rt.obs.request_ns.record(elapsed);
                 }
                 if conn.respond(resp.status, resp.ctype, &resp.body).is_err() || close {
                     return;
@@ -620,7 +618,7 @@ fn load_model(inner: &Arc<Inner>, name: &str, req: &Request) -> Response {
             Ok(h) if (1..=win_len).contains(&h) => h,
             _ => return Response::error(400, "bad_hop"),
         },
-        None => (win_len / 4).max(1),
+        None => ServingConfig::default_hop(win_len),
     };
     det.set_executor(inner.exec.clone());
     let mut serving = ServingConfig::new(threshold, hop);
@@ -784,9 +782,10 @@ fn push_rows(inner: &Arc<Inner>, id: &str, req: &Request) -> Routed {
 }
 
 /// `GET /v1/streams/{id}/verdicts[?max=N]` — drains up to `max` verdicts as
-/// CSV data lines in scoring order. The line format is byte-identical to
-/// the offline `tfmae serve` per-stream CSV (minus the header line, which
-/// is the client's to write once): `t,score,is_anomaly,quality`.
+/// CSV data lines in scoring order, each a
+/// [`StreamVerdict`](tfmae_core::StreamVerdict)'s `Display`: the
+/// line format of the offline `tfmae serve` per-stream CSV (minus the
+/// header line, which is the client's to write once).
 fn poll_verdicts(inner: &Arc<Inner>, id: &str, req: &Request) -> Routed {
     let (rt, sid) = match resolve_stream(inner, id) {
         Ok(x) => x,
@@ -804,13 +803,7 @@ fn poll_verdicts(inner: &Arc<Inner>, id: &str, req: &Request) -> Routed {
     };
     let mut body = Vec::new();
     for v in &verdicts {
-        // Same `writeln!` shape as the offline CSV writer — parity is
-        // asserted byte-for-byte by the loopback tests.
-        let _ = writeln!(
-            body,
-            "{},{},{},{:?}",
-            v.t, v.score, v.is_anomaly as u8, v.quality
-        );
+        let _ = writeln!(body, "{v}");
     }
     (
         Response {

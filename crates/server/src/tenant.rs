@@ -25,7 +25,7 @@ use std::time::Duration;
 use tfmae_core::{
     Precision, RejectReason, ServingConfig, ServingEngine, StreamVerdict, TfmaeDetector,
 };
-use tfmae_obs::{Counter, Histogram};
+use tfmae_obs::{LazyCounter, LazyHistogram};
 
 /// Cumulative counters a tenant contributes to the drain report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,31 +44,31 @@ pub(crate) struct TenantTotals {
     pub streams: u64,
 }
 
-/// Per-tenant instruments, registered under
-/// `server.tenant.<model>.<metric>` via the obs name interner.
+/// Per-tenant instruments, named `server.tenant.<model>.<metric>` via the
+/// obs name interner. Gated handles: each registers on its first recording
+/// while the registry is enabled.
 pub(crate) struct TenantObs {
     /// Requests routed to this tenant (push/poll/register/unregister).
-    pub requests: Arc<Counter>,
+    pub requests: LazyCounter,
     /// Rows admitted.
-    pub rows_in: Arc<Counter>,
+    pub rows_in: LazyCounter,
     /// Rows refused (any [`RejectReason`]).
-    pub rejected: Arc<Counter>,
+    pub rejected: LazyCounter,
     /// Verdicts handed to pollers.
-    pub verdicts_out: Arc<Counter>,
+    pub verdicts_out: LazyCounter,
     /// Wall time of tenant-routed request handling.
-    pub request_ns: Arc<Histogram>,
+    pub request_ns: LazyHistogram,
 }
 
 impl TenantObs {
     fn new(model: &str) -> Self {
-        let reg = tfmae_obs::global();
         let name = |suffix: &str| tfmae_obs::intern(&format!("server.tenant.{model}.{suffix}"));
         Self {
-            requests: reg.counter(name("requests")),
-            rows_in: reg.counter(name("rows_in")),
-            rejected: reg.counter(name("rejected_rows")),
-            verdicts_out: reg.counter(name("verdicts_out")),
-            request_ns: reg.histogram(name("request_ns")),
+            requests: LazyCounter::new(name("requests")),
+            rows_in: LazyCounter::new(name("rows_in")),
+            rejected: LazyCounter::new(name("rejected_rows")),
+            verdicts_out: LazyCounter::new(name("verdicts_out")),
+            request_ns: LazyHistogram::new(name("request_ns")),
         }
     }
 }
@@ -220,11 +220,9 @@ impl ModelRt {
         if accepted > 0 {
             self.cv.notify_all();
         }
-        if tfmae_obs::enabled() {
-            self.obs.rows_in.add(accepted as u64);
-            if rejected.is_some() {
-                self.obs.rejected.add((rows.len() - accepted) as u64);
-            }
+        self.obs.rows_in.add(accepted as u64);
+        if rejected.is_some() {
+            self.obs.rejected.add((rows.len() - accepted) as u64);
         }
         Some(PushOutcome {
             accepted,
@@ -242,9 +240,7 @@ impl ModelRt {
             let n = max.min(sq.outbox.len());
             sq.outbox.drain(..n).collect::<Vec<_>>()
         };
-        if tfmae_obs::enabled() {
-            self.obs.verdicts_out.add(out.len() as u64);
-        }
+        self.obs.verdicts_out.add(out.len() as u64);
         Some(out)
     }
 

@@ -4,7 +4,7 @@
 //! heavy backward kernels (matmul family, bmm, softmax) dispatch row-sharded
 //! to its worker pool — bitwise identical to serial at any thread count.
 //! Every other gradient rule feeds its per-element contributions through
-//! [`add_at`], which writes a slot's first contribution instead of adding
+//! `add_at`, which writes a slot's first contribution instead of adding
 //! it to a zero fill (the first-write rule, DESIGN.md §12).
 
 use std::time::Instant;

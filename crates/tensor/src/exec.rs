@@ -206,8 +206,8 @@ impl Job {
     }
 }
 
-/// Persistent worker pool + buffer pool shared by every [`Graph`]
-/// (`crate::Graph`) that was created with `Graph::with_executor`.
+/// Persistent worker pool + buffer pool shared by every
+/// [`Graph`](crate::Graph) that was created with `Graph::with_executor`.
 ///
 /// Cheap to create in serial mode (no threads are spawned); an N-thread
 /// executor spawns `N − 1` workers once and reuses them for every dispatch.

@@ -1,9 +1,9 @@
 //! The autograd tape.
 //!
-//! A [`Graph`] is an append-only arena of [`Node`]s; every operation pushes
+//! A [`Graph`] is an append-only arena of `Node`s; every operation pushes
 //! one node holding its forward value, its operand ids, and enough metadata
 //! for the backward pass. [`Var`] is a copyable handle into the arena.
-//! Parameters live in a [`ParamStore`](crate::ParamStore) outside the graph
+//! Parameters live in a [`ParamStore`] outside the graph
 //! and are *leafed in* per forward pass with [`Graph::param`]; this is what
 //! lets one weight set drive a fresh tape every training step, and it makes
 //! the paper's stop-gradient (`detach`) trivial — a detached value is just a

@@ -29,7 +29,7 @@ fn main() {
 
     // Go online: one stream on the serving engine, scored every
     // win_len / 4 observations, fed the test split one row per tick.
-    let hop = (det.cfg.win_len / 4).max(1);
+    let hop = ServingConfig::default_hop(det.cfg.win_len);
     let mut monitor = ServingEngine::new(det, ServingConfig::new(delta, hop));
     let stream = monitor.add_stream();
     let mut alarms = 0usize;

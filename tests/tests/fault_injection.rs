@@ -334,8 +334,8 @@ fn harmful_finetune_update_rolls_back_to_last_good_and_backs_off() {
     ad.recalibrate_every = usize::MAX; // isolate the fine-tune/rollback path
     ad.finetune.enabled = true;
     ad.finetune.interval = 16;
+    // Exactly one fine-tune batch (the engine's fixed 8 windows) of reservoir.
     ad.finetune.reservoir = 8;
-    ad.finetune.batch = 4;
     ad.finetune.steps = 2;
 
     let mut cfg = ServingConfig::new(f32::MAX, 2);
