@@ -257,8 +257,8 @@ fn replay_calibrated(
     val: &TimeSeries,
     stream: &Stream,
 ) -> (Vec<u8>, ServingEngine) {
+    eng.calibrate(val);
     let id = eng.add_stream();
-    eng.calibrate_stream(id, val);
     let mut pred = vec![0u8; stream.data.len()];
     for t in 0..stream.data.len() {
         for v in eng.tick(&[(id, stream.data.row(t))]).verdicts {

@@ -1,10 +1,16 @@
-//! Paired overhead check: two A/B comparisons of the serving engine at
-//! S=8 streams, on one fitted model and one replay.
+//! Overhead check: the enabled cost of each obs handle kind, then two
+//! paired A/B comparisons of the serving engine at S=8 streams, on one
+//! fitted model and one replay.
 //!
 //! ```text
 //! cargo run --release -p tfmae-bench --bin bench_overhead -- [--quick]
 //! ```
 //!
+//! * `handles` — one span enter+drop, one counter add and one histogram
+//!   record with the registry enabled, each timed in a tight loop on one
+//!   thread (ns per call, the median of 5 rounds). These are the unit
+//!   costs an instrumented call site pays; a call site's total follows
+//!   from how often it runs.
 //! * `obs` — the global metrics registry off vs on. Contract: enabled
 //!   within 2% of disabled (the disabled path is one relaxed atomic load
 //!   per instrumented call site).
@@ -27,11 +33,13 @@
 //! two sides bit for bit, and the process exits 1 on a mismatch rather than
 //! time two programs that disagree. bf16 scores differ from f32 by design.
 //!
-//! `--quick` runs 8 blocks per comparison, otherwise 25. The worker pool is
+//! `--quick` runs 8 blocks per comparison and 1M calls per handle round,
+//! otherwise 25 blocks and 4M calls. The worker pool is
 //! sized by `TFMAE_THREADS` (default: the host's available parallelism).
 //! The model runs at the paper's default scale (win 100, d_model 64); the
 //! fit is a single epoch, since training quality does not enter the timing.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,12 +48,16 @@ use rand::SeedableRng;
 use tfmae_bench::Options;
 use tfmae_core::{Precision, ServingConfig, ServingEngine, TfmaeConfig, TfmaeDetector};
 use tfmae_data::{render, Component, Detector, TimeSeries};
+use tfmae_obs::{LazyCounter, LazyHistogram};
 use tfmae_tensor::Executor;
 
 const STREAMS: usize = 8;
 
 /// The obs contract: the enabled side costs at most this many percent.
 const OBS_BOUND_PCT: f64 = 2.0;
+
+/// Timed rounds per handle kind; the median is reported.
+const HANDLE_ROUNDS: usize = 5;
 
 fn series(len: usize, seed: u64) -> TimeSeries {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -111,6 +123,39 @@ impl<'a> Side<'a> {
     }
 }
 
+/// Nanoseconds per call of `f`: the median over [`HANDLE_ROUNDS`] tight
+/// loops of `iters` calls on the calling thread.
+fn median_ns(iters: u64, f: impl Fn(u64)) -> f64 {
+    let mut rounds: Vec<f64> = (0..HANDLE_ROUNDS)
+        .map(|_| {
+            let started = Instant::now();
+            for i in 0..iters {
+                f(black_box(i));
+            }
+            started.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    rounds.sort_by(f64::total_cmp);
+    rounds[HANDLE_ROUNDS / 2]
+}
+
+/// Prints the enabled per-call cost of a span, a counter add and a
+/// histogram record, leaving the registry disabled.
+fn report_handles(iters: u64) {
+    static SPAN: LazyHistogram = LazyHistogram::new("bench.overhead.span_ns");
+    static COUNTER: LazyCounter = LazyCounter::new("bench.overhead.adds");
+    static HIST: LazyHistogram = LazyHistogram::new("bench.overhead.records");
+    tfmae_obs::set_enabled(true);
+    let span = median_ns(iters, |_| drop(SPAN.enter()));
+    let counter = median_ns(iters, |_| COUNTER.add(1));
+    let hist = median_ns(iters, |i| HIST.record(i));
+    tfmae_obs::set_enabled(false);
+    println!(
+        "handles (enabled, 1 thread): span enter+drop {span:.1} ns, counter add {counter:.1} ns, \
+         histogram record {hist:.1} ns"
+    );
+}
+
 /// The ABBA estimator: `blocks` blocks of A, B, B, A replays. Returns A's
 /// and B's best rows/s and the lower quartile, median and upper quartile
 /// across blocks of the per-block geometric-mean A/B ratio. With `bitwise`,
@@ -167,7 +212,8 @@ fn report(name: &str, threads: usize, sides: (&str, &str), (a, b, ratios): (f64,
 
 fn main() {
     let opts = Options::parse();
-    let blocks = if opts.quick { 8 } else { 25 };
+    let (blocks, handle_iters) = if opts.quick { (8, 1_000_000) } else { (25, 4_000_000) };
+    report_handles(handle_iters);
     let exec = Arc::new(Executor::from_env());
     let threads = exec.threads();
     let det = fitted(&exec);

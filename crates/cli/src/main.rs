@@ -607,12 +607,10 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         engine.detector().executor().register_obs(tfmae_obs::global());
         tfmae_obs::set_enabled(true);
     }
-    let ids: Vec<usize> = (0..streams_data.len()).map(|_| engine.add_stream()).collect();
     if let Some(v) = &val {
-        for &id in &ids {
-            engine.calibrate_stream(id, v);
-        }
+        engine.calibrate(v);
     }
+    let ids: Vec<usize> = (0..streams_data.len()).map(|_| engine.add_stream()).collect();
 
     // Replay: one tick interleaves the next row of every still-live stream.
     // Tick latency goes straight into a registered histogram (ungated — the

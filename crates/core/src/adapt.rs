@@ -69,7 +69,8 @@ pub(crate) const FINETUNE_BATCH: usize = 8;
 pub struct FinetuneConfig {
     /// Master switch; `false` recalibrates the threshold only.
     pub enabled: bool,
-    /// Capacity of the clean-window reservoir (newest windows win).
+    /// Capacity of the clean-window reservoir (newest windows win). A value
+    /// below `FINETUNE_BATCH` (8) holds 8 windows, one update's batch.
     pub reservoir: usize,
     /// Clean calibration scores between fine-tune updates (multiplied by
     /// the current rollback backoff).
@@ -371,9 +372,9 @@ impl AdaptiveRuntime {
     }
 
     /// Offers a fully-clean window to the fine-tune reservoir (ring
-    /// overwrite once at capacity).
+    /// overwrite once at capacity, never below one update's batch).
     pub(crate) fn offer_window(&mut self, values: Vec<f32>) {
-        let cap = self.cfg.finetune.reservoir.max(1);
+        let cap = self.cfg.finetune.reservoir.max(FINETUNE_BATCH);
         if self.reservoir.len() < cap {
             self.reservoir.push(values);
         } else {
@@ -710,17 +711,19 @@ mod tests {
 
     #[test]
     fn reservoir_is_a_ring() {
+        // A reservoir below one fine-tune batch holds one batch.
         let mut cfg = AdaptationConfig::enabled();
         cfg.finetune.reservoir = 4;
         let mut rt = AdaptiveRuntime::new(cfg, 1.0);
         for i in 0..10 {
             rt.offer_window(vec![i as f32]);
         }
-        assert_eq!(rt.reservoir_len(), 4);
+        assert_eq!(rt.reservoir_len(), FINETUNE_BATCH);
         let drained = rt.drain_reservoir();
         let mut vals: Vec<f32> = drained.iter().map(|w| w[0]).collect();
         vals.sort_by(f32::total_cmp);
-        assert_eq!(vals, vec![6.0, 7.0, 8.0, 9.0], "newest windows survive");
+        let newest: Vec<f32> = (2..10).map(|i| i as f32).collect();
+        assert_eq!(vals, newest, "newest windows survive");
         assert_eq!(rt.reservoir_len(), 0);
     }
 

@@ -237,7 +237,7 @@ impl TfmaeDetector {
     /// Per-observation score components `(latent KL, dual-recon)` for a
     /// series, each folded onto the timeline but **not** combined — used by
     /// callers that need to freeze normalization constants (online scoring,
-    /// see [`ServingEngine::calibrate_stream`](crate::ServingEngine::calibrate_stream)).
+    /// see [`ServingEngine::calibrate`](crate::ServingEngine::calibrate)).
     pub fn score_components(&self, series: &TimeSeries) -> (Vec<f32>, Vec<f32>) {
         let model = self.model.as_ref().expect("fit before score");
         let norm = self.norm.as_ref().expect("fit before score");
@@ -428,7 +428,6 @@ impl Detector for TfmaeDetector {
                     StepOutcome::Skipped => {
                         static SKIPPED: LazyCounter = LazyCounter::new("train.skipped_batches");
                         SKIPPED.inc();
-                        tfmae_obs::event("train.skip_batch");
                     }
                     StepOutcome::Aborted => {
                         aborted = true;

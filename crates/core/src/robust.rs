@@ -122,7 +122,6 @@ impl TrainGuard {
         self.report.rollbacks += 1;
         static ROLLBACKS: tfmae_obs::LazyCounter = tfmae_obs::LazyCounter::new("train.rollbacks");
         ROLLBACKS.inc();
-        tfmae_obs::event("train.rollback");
         ps.restore(&self.snapshot);
         *opt = self.opt_snapshot.clone();
         self.current_lr *= LR_BACKOFF;

@@ -349,7 +349,6 @@ struct StreamState {
     filled: usize,
     pushed: u64,
     since_score: usize,
-    frozen_norms: Option<(f32, f32)>,
     last_good: Vec<Option<f32>>,
     staleness: Vec<usize>,
     consecutive_bad: usize,
@@ -378,7 +377,6 @@ impl StreamState {
             filled: 0,
             pushed: 0,
             since_score: 0,
-            frozen_norms: None,
             last_good: vec![None; dims],
             staleness: vec![0; dims],
             consecutive_bad: 0,
@@ -443,7 +441,6 @@ struct PendingWindow {
     newest: usize,
     /// Qualities of those newest positions, oldest first.
     qualities: Vec<DataQuality>,
-    frozen: Option<(f32, f32)>,
     /// Whether this window's scores may feed calibration (false during the
     /// post-quarantine holdoff).
     calib: bool,
@@ -533,6 +530,9 @@ pub struct ServingEngine {
     /// Drift-adaptation state machine (present even when adaptation is
     /// disabled, so the calibration-anchored drift gauge still works).
     adapt: AdaptiveRuntime,
+    /// Score-normalization constants frozen by [`ServingEngine::calibrate`];
+    /// `None` normalizes each window over itself.
+    frozen_norms: Option<(f32, f32)>,
 }
 
 impl ServingEngine {
@@ -578,6 +578,7 @@ impl ServingEngine {
             route: Vec::new(),
             pending: Vec::new(),
             adapt,
+            frozen_norms: None,
         }
     }
 
@@ -633,11 +634,6 @@ impl ServingEngine {
         &self.streams[self.slot(stream)]
     }
 
-    fn state_mut(&mut self, stream: usize) -> &mut StreamState {
-        let slot = self.slot(stream);
-        &mut self.streams[slot]
-    }
-
     /// Input feature count per stream.
     pub fn dims(&self) -> usize {
         self.dims
@@ -689,25 +685,23 @@ impl ServingEngine {
         (model_bytes + stream_bytes) / n
     }
 
-    /// Freezes one stream's score-normalization constants from a reference
-    /// series (normally the validation split), so its online scores match
-    /// the scale of offline [`Detector::score`](tfmae_data::Detector::score)
-    /// output.
+    /// Freezes the engine's score-normalization constants from a reference
+    /// series (normally the validation split), so every stream's online
+    /// scores match the scale of offline
+    /// [`Detector::score`](tfmae_data::Detector::score) output. Call it
+    /// before the first tick; it applies to streams added before and after.
     ///
     /// The score's two components are divided by their means over the
     /// scored span ([`combine_scores`](crate::combine_scores)). Offline
-    /// scoring normalizes over the whole series, but an uncalibrated stream
+    /// scoring normalizes over the whole series, but an uncalibrated engine
     /// normalizes each window over itself, which makes every window average
     /// the same value and blinds the detector to anomalies that span a
     /// whole window (adequate for point anomalies only). With the constants
     /// frozen, a `threshold_for_ratio` δ from offline validation scores
     /// transfers directly.
-    ///
-    /// # Panics
-    /// Panics on an unregistered stream id.
-    pub fn calibrate_stream(&mut self, stream: usize, series: &TimeSeries) {
+    pub fn calibrate(&mut self, series: &TimeSeries) {
         let (kl, dual) = self.det.score_components(series);
-        self.state_mut(stream).frozen_norms = Some(component_means(&kl, &dual));
+        self.frozen_norms = Some(component_means(&kl, &dual));
     }
 
     /// Fault counters and current mode of one stream.
@@ -853,7 +847,7 @@ impl ServingEngine {
         let reservoir_on = adapt_on
             && self.cfg.adaptation.finetune.enabled
             && self.det.quant().is_none();
-        let threshold = self.effective_threshold();
+        let (threshold, norms) = (self.effective_threshold(), self.frozen_norms);
 
         // Reservoir offers happen on the coordinator in staging order (the
         // offer ring is order-sensitive), before the chunks are handed to
@@ -888,7 +882,7 @@ impl ServingEngine {
                         return;
                     };
                     g.reset();
-                    let rows = score_chunk(det, &g, chunk, t, n, threshold);
+                    let rows = score_chunk(det, &g, chunk, t, n, threshold, norms);
                     *results[ci].lock().expect("chunk result") = rows;
                     lane.chunks.add(1);
                     if stolen {
@@ -963,11 +957,9 @@ impl ServingEngine {
                 model.ps.restore(&snap);
             }
             ROLLBACKS.inc();
-            tfmae_obs::event("serve.adapt_rollback");
         }
         if self.adapt.recalibration_due() && self.adapt.recalibrate() {
             RECALS.inc();
-            tfmae_obs::event("serve.adapt_recalibrate");
         }
         if self.adapt.finetune_due() && self.det.quant().is_none() {
             let ft = self.cfg.adaptation.finetune.clone();
@@ -983,7 +975,6 @@ impl ServingEngine {
                 let report = self.det.finetune(&windows, &ft, salt);
                 TUNES.inc();
                 TUNE_STEPS.add(report.steps);
-                tfmae_obs::event("serve.adapt_finetune");
                 self.adapt.note_finetune(snap, hash, &report);
             }
         }
@@ -1128,7 +1119,6 @@ fn ingest_row(
             s.calib_holdoff = HOLDOFF;
             static QUARANTINE_EXITS: LazyCounter = LazyCounter::new("serve.quarantine_exits");
             QUARANTINE_EXITS.inc();
-            tfmae_obs::event("serve.quarantine_exit");
         }
     } else {
         s.consecutive_bad += 1;
@@ -1137,7 +1127,6 @@ fn ingest_row(
             s.health.quarantine_entries += 1;
             static QUARANTINE_ENTRIES: LazyCounter = LazyCounter::new("serve.quarantine_entries");
             QUARANTINE_ENTRIES.inc();
-            tfmae_obs::event("serve.quarantine_enter");
             s.clear_buffer();
         }
     }
@@ -1218,7 +1207,6 @@ fn ingest_row(
         .map(|i| s.quals[(s.head + win_len - newest + i) % win_len])
         .collect();
     let base_t = s.pushed - newest as u64;
-    let frozen = s.frozen_norms;
     // Calibration eligibility: a stream fresh out of quarantine sits
     // out `HOLDOFF` scored windows; reservoir eligibility additionally
     // requires every retained sample to be Clean.
@@ -1254,7 +1242,6 @@ fn ingest_row(
         base_t,
         newest,
         qualities,
-        frozen,
         calib,
         window_clean,
     }))
@@ -1263,10 +1250,10 @@ fn ingest_row(
 /// Runs one already-formed chunk through the shared model on graph `g` and
 /// returns its scored rows. Touches nothing order-sensitive: every output
 /// is a pure function of the chunk, the read-only detector, and the
-/// pre-read threshold, so any lane may execute any chunk. Each window's
-/// scores are a function of that window alone — the kernels are thread-
-/// and batch-invariant — which is what makes chunking and work-stealing
-/// verdict-neutral.
+/// pre-read threshold and frozen norms, so any lane may execute any chunk.
+/// Each window's scores are a function of that window alone — the kernels
+/// are thread- and batch-invariant — which is what makes chunking and
+/// work-stealing verdict-neutral.
 fn score_chunk(
     det: &TfmaeDetector,
     g: &Graph,
@@ -1274,6 +1261,7 @@ fn score_chunk(
     t: usize,
     n: usize,
     threshold: f32,
+    frozen: Option<(f32, f32)>,
 ) -> Vec<ScoredRow> {
     let model = det.model().expect("checked at construction");
     let b = chunk.len();
@@ -1294,19 +1282,19 @@ fn score_chunk(
         values.extend_from_slice(&p.values);
         masks_t.push(p.mask_t);
         masks_f.push(p.mask_f);
-        meta.push((p.stream, p.base_t, p.newest, p.qualities, p.frozen, p.calib));
+        meta.push((p.stream, p.base_t, p.newest, p.qualities, p.calib));
     }
     let batch = crate::model::BatchInputs { values, b, masks_t, masks_f };
     let ctx = det.eval_ctx(g);
     let fwd = model.forward(&ctx, &batch);
     let (kl, dual) = model.anomaly_score_components(&ctx, &fwd);
     let mut out = Vec::new();
-    for (wi, (stream, base_t, newest, qualities, frozen, calib)) in meta.into_iter().enumerate() {
+    for (wi, (stream, base_t, newest, qualities, calib)) in meta.into_iter().enumerate() {
         let klw = &kl[wi * t..(wi + 1) * t];
         let dualw = &dual[wi * t..(wi + 1) * t];
         // Frozen calibration constants put scores on the offline
         // scale; the fallback normalizes window-locally (see
-        // `ServingEngine::calibrate_stream`).
+        // `ServingEngine::calibrate`).
         let norms = frozen.unwrap_or_else(|| component_means(klw, dualw));
         let scores = combine_scores_with(klw, dualw, norms);
         for i in 0..newest {
@@ -1639,7 +1627,7 @@ mod tests {
         let val = series(256, 7);
         let delta = threshold_for_ratio(&det.score(&val), 0.02);
         let mut eng = one_stream(det, ServingConfig::new(delta, 1));
-        eng.calibrate_stream(0, &val);
+        eng.calibrate(&val);
 
         let mut data = series(win * 4, 8);
         for t in win * 2..win * 3 + win / 2 {
@@ -1652,6 +1640,22 @@ mod tests {
             .filter(|v| v.is_anomaly && (win * 2..win * 3 + win / 2).contains(&(v.t as usize)))
             .count();
         assert!(hits > 0, "calibrated stream missed a sustained level shift");
+    }
+
+    #[test]
+    fn a_reservoir_below_one_batch_still_fine_tunes() {
+        // A reservoir smaller than `FINETUNE_BATCH` holds one batch anyway;
+        // capped at its own size it would never let an update run.
+        let det = fitted();
+        let mut cfg = ServingConfig::new(f32::MAX, 2);
+        cfg.adaptation = AdaptationConfig::enabled();
+        cfg.adaptation.finetune.enabled = true;
+        cfg.adaptation.finetune.reservoir = 4;
+        cfg.adaptation.finetune.interval = 16;
+        let mut eng = one_stream(det, cfg);
+        push_all(&mut eng, &series(640, 11));
+        let stats = eng.adaptation_stats();
+        assert!(stats.finetune_updates >= 1, "{stats:?}");
     }
 
     #[test]

@@ -495,12 +495,10 @@ fn serve_trace(
     extra_rows: &dyn Fn(usize) -> Vec<(usize, Vec<f32>)>,
 ) -> (Vec<ServingVerdict>, Vec<RowRejection>, f32) {
     let mut eng = ServingEngine::new(det, cfg);
-    let ids: Vec<usize> = datas.iter().map(|_| eng.add_stream()).collect();
     if let Some(val) = calibrate {
-        for &id in &ids {
-            eng.calibrate_stream(id, val);
-        }
+        eng.calibrate(val);
     }
+    let ids: Vec<usize> = datas.iter().map(|_| eng.add_stream()).collect();
     let len = datas[0].len();
     let mut verdicts = Vec::new();
     let mut rejections = Vec::new();

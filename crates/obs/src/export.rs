@@ -12,10 +12,10 @@
 //!   node-exporter *textfile collector* (write to a file, point the
 //!   collector at the directory).
 //! * **JSON snapshot** ([`json_snapshot`]) — counters and gauges by name,
-//!   histograms with exact count/sum/min/max and p50/p90/p99 summaries,
-//!   and the tail of the span journal. Hand-rolled serialization (this
-//!   crate has no dependencies); names are escaped, output is
-//!   deterministic.
+//!   histograms with exact count/sum/min/max and p50/p90/p99 summaries
+//!   (spans are histograms, so their durations land here). Hand-rolled
+//!   serialization (this crate has no dependencies); names are escaped,
+//!   output is deterministic.
 
 use crate::instruments::HistSnapshot;
 use crate::registry::{Instrument, Registry};
@@ -89,8 +89,8 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders every instrument of `reg` (plus the journal tail) as a JSON
-/// object. Keys are instrument names verbatim.
+/// Renders every instrument of `reg` as a JSON object. Keys are instrument
+/// names verbatim.
 pub fn json_snapshot(reg: &Registry) -> String {
     use std::fmt::Write as _;
     let mut counters = String::new();
@@ -132,28 +132,12 @@ pub fn json_snapshot(reg: &Registry) -> String {
             }
         }
     }
-    let mut journal = String::new();
-    for ev in reg.journal().snapshot() {
-        use std::fmt::Write as _;
-        if !journal.is_empty() {
-            journal.push_str(",\n    ");
-        }
-        let _ = write!(
-            journal,
-            "{{\"seq\": {}, \"name\": \"{}\", \"start_us\": {}, \"dur_ns\": {}}}",
-            ev.seq,
-            json_escape(ev.name),
-            ev.start_us,
-            ev.dur_ns
-        );
-    }
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"enabled\": {},", reg.enabled());
     let _ = writeln!(out, "  \"counters\": {{{counters}}},");
     let _ = writeln!(out, "  \"gauges\": {{{gauges}}},");
-    let _ = writeln!(out, "  \"histograms\": {{\n    {hists}\n  }},");
-    let _ = writeln!(out, "  \"journal\": [\n    {journal}\n  ]");
+    let _ = writeln!(out, "  \"histograms\": {{\n    {hists}\n  }}");
     let _ = writeln!(out, "}}");
     out
 }

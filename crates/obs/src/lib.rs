@@ -9,8 +9,8 @@
 //! * [`Lazy`] — the one gated call-site handle ([`LazyCounter`],
 //!   [`LazyGauge`], [`LazyHistogram`]): while disabled, every recording
 //!   method costs exactly one relaxed atomic load. A span is
-//!   [`LazyHistogram::enter`](Lazy::enter), which also feeds the event
-//!   [`Journal`] (last [`JOURNAL_CAPACITY`] events).
+//!   [`LazyHistogram::enter`](Lazy::enter): two clock reads and one
+//!   histogram record while enabled.
 //! * [`Registry`] — named instruments, the process-global instance
 //!   ([`global()`]) and the runtime on/off switch.
 //! * [`export`] — Prometheus text and JSON snapshot exporters over a
@@ -44,7 +44,7 @@ mod span;
 pub use export::{json_snapshot, prometheus_text, validate_json_shape, validate_prometheus};
 pub use instruments::{Counter, Gauge, HistSnapshot, Histogram, N_BUCKETS, OVERFLOW_BUCKET};
 pub use registry::{intern, Instrument, Lazy, LazyCounter, LazyGauge, LazyHistogram, Registry};
-pub use span::{event, Journal, JournalEvent, SpanGuard, JOURNAL_CAPACITY};
+pub use span::SpanGuard;
 
 /// The process-global registry (shorthand for [`Registry::global`]).
 pub fn global() -> &'static Registry {
@@ -52,7 +52,7 @@ pub fn global() -> &'static Registry {
 }
 
 /// Whether global recording is on — one relaxed atomic load. This is the
-/// one gate every [`Lazy`] handle and [`event`] passes.
+/// one gate every [`Lazy`] handle passes.
 #[inline]
 pub fn enabled() -> bool {
     Registry::global().enabled()

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::instruments::{Counter, Gauge, Histogram};
-use crate::span::{Journal, SpanGuard};
+use crate::span::SpanGuard;
 
 /// A named instrument, as stored in a [`Registry`].
 #[derive(Clone, Debug)]
@@ -37,7 +37,7 @@ pub enum Instrument {
     Histogram(Arc<Histogram>),
 }
 
-/// A set of named instruments plus the runtime switch and the span journal.
+/// A set of named instruments plus the runtime switch.
 ///
 /// Use [`Registry::global`] (via the crate-level [`global()`](crate::global)
 /// convenience) for process-wide telemetry; construct private instances in
@@ -45,8 +45,6 @@ pub enum Instrument {
 pub struct Registry {
     enabled: AtomicBool,
     instruments: Mutex<BTreeMap<&'static str, Instrument>>,
-    journal: Journal,
-    epoch: Instant,
 }
 
 impl Default for Registry {
@@ -56,13 +54,11 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A fresh, **disabled** registry with an empty journal.
+    /// A fresh, **disabled** registry with no instruments.
     pub fn new() -> Self {
         Self {
             enabled: AtomicBool::new(false),
             instruments: Mutex::new(BTreeMap::new()),
-            journal: Journal::new(crate::span::JOURNAL_CAPACITY),
-            epoch: Instant::now(),
         }
     }
 
@@ -83,16 +79,6 @@ impl Registry {
     /// off/on cycles; recording simply pauses while off.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Time origin for journal timestamps (registry creation).
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
-    /// The span event journal.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
     }
 
     /// Get-or-create the counter `name`.
@@ -196,7 +182,7 @@ kind!(Counter, Gauge, Histogram);
 /// through the `Arc` forever. Gated — when the global registry is disabled
 /// every recording method is a single relaxed atomic load.
 pub struct Lazy<T> {
-    pub(crate) name: &'static str,
+    name: &'static str,
     cell: OnceLock<Arc<T>>,
 }
 

@@ -25,13 +25,11 @@ fn disabled_registry_records_nothing_and_enabling_resumes() {
     LAT.record_micro(2.5);
     drop(SPAN.enter());
     lane.add(4);
-    tfmae_obs::event("gate.marker");
     assert_eq!(HITS.get(), 0, "counter must not record while disabled");
     assert_eq!(DEPTH.get(), 0, "gauge must not record while disabled");
     assert_eq!(LAT.handle().count(), 0, "histogram must not record while disabled");
     assert_eq!(SPAN.handle().count(), 0, "span must not record while disabled");
     assert_eq!(lane.get(), 0, "runtime-named counter must not record while disabled");
-    assert_eq!(tfmae_obs::global().journal().total(), 0, "journal must stay empty");
 
     // Flip the switch: the same call sites start recording.
     tfmae_obs::set_enabled(true);
@@ -44,25 +42,23 @@ fn disabled_registry_records_nothing_and_enabling_resumes() {
         let _guard = SPAN.enter();
     }
     lane.add(4);
-    tfmae_obs::event("gate.marker");
     assert_eq!(HITS.get(), 1);
     assert_eq!(DEPTH.get(), 9);
     assert_eq!(LAT.handle().count(), 2);
     assert_eq!(SPAN.handle().count(), 1);
     assert_eq!(lane.get(), 4);
     assert_eq!(tfmae_obs::global().counter("gate.lane3.chunks").get(), 4);
-    let journal = tfmae_obs::global().journal().snapshot();
-    assert!(journal.iter().any(|e| e.name == "gate.span_ns"));
-    assert!(journal.iter().any(|e| e.name == "gate.marker" && e.dur_ns == 0));
 
     // Off again: values freeze but remain readable.
     tfmae_obs::set_enabled(false);
     HITS.add(100);
+    DEPTH.set(100);
+    LAT.record(3_000);
     lane.add(100);
     drop(SPAN.enter());
-    tfmae_obs::event("gate.marker");
     assert_eq!(HITS.get(), 1, "recording pauses while off");
+    assert_eq!(DEPTH.get(), 9, "recording pauses while off");
+    assert_eq!(LAT.handle().count(), 2, "recording pauses while off");
     assert_eq!(lane.get(), 4, "recording pauses while off");
     assert_eq!(SPAN.handle().count(), 1, "spans pause while off");
-    assert_eq!(tfmae_obs::global().journal().total(), 2, "journal pauses while off");
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use tfmae_obs::{
     json_snapshot, prometheus_text, validate_json_shape, validate_prometheus, Counter, Gauge,
-    HistSnapshot, Histogram, Instrument, Journal, Registry, OVERFLOW_BUCKET,
+    HistSnapshot, Histogram, Instrument, Registry, OVERFLOW_BUCKET,
 };
 
 #[test]
@@ -171,19 +171,6 @@ fn registry_register_last_wins() {
     }
 }
 
-#[test]
-fn journal_ring_keeps_most_recent() {
-    let j = Journal::new(4);
-    for i in 0..10u64 {
-        j.push("tick", i, i * 10);
-    }
-    assert_eq!(j.total(), 10);
-    let snap = j.snapshot();
-    assert_eq!(snap.len(), 4);
-    let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
-    assert_eq!(seqs, vec![6, 7, 8, 9]);
-}
-
 fn populated_registry() -> Registry {
     let reg = Registry::new();
     reg.counter("serve.rows").add(120);
@@ -222,6 +209,7 @@ fn json_export_round_trips_all_instruments() {
     assert!(text.contains("\"serve.tick_ns\""));
     assert!(text.contains("\"count\": 100"));
     assert!(text.contains("\"p99\":"));
+    assert!(!text.contains("journal"), "the snapshot holds instruments only");
 }
 
 #[test]

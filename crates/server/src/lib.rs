@@ -473,9 +473,7 @@ fn route(inner: &Arc<Inner>, req: &Request) -> Routed {
             None,
         ),
         ("GET", ["v1", "models"]) => (models_listing(inner), None),
-        ("POST", ["v1", "models", name, op]) if *op == "load" || *op == "activate" => {
-            (load_model(inner, name, req), None)
-        }
+        ("POST", ["v1", "models", name, "load"]) => (load_model(inner, name, req), None),
         ("POST", ["v1", "streams"]) => register_stream(inner, req),
         ("DELETE", ["v1", "streams", id]) => unregister_stream(inner, id),
         ("POST", ["v1", "streams", id, "rows"]) => push_rows(inner, id, req),
@@ -484,9 +482,15 @@ fn route(inner: &Arc<Inner>, req: &Request) -> Routed {
             inner.draining.store(true, Ordering::Relaxed);
             (Response::json(202, "{\"draining\":true}\n".into()), None)
         }
-        (_, ["healthz" | "metrics"]) | (_, ["v1", ..]) => {
-            (Response::error(405, "method_not_allowed"), None)
-        }
+        // A known path called with another method.
+        (
+            _,
+            ["healthz" | "metrics"]
+            | ["v1", "models" | "streams" | "shutdown"]
+            | ["v1", "models", _, "load"]
+            | ["v1", "streams", _]
+            | ["v1", "streams", _, "rows" | "verdicts"],
+        ) => (Response::error(405, "method_not_allowed"), None),
         _ => (Response::error(404, "no_such_route"), None),
     }
 }

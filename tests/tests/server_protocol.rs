@@ -448,6 +448,34 @@ fn boundary_rejections_are_typed_not_panics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn unknown_paths_are_404_and_known_paths_with_another_method_are_405() {
+    let dir = std::env::temp_dir().join(format!("tfmae_srv_routes_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir registry");
+    let handle = server_on(&dir, |_| {});
+    let addr = handle.addr();
+    for (method, target, want, token) in [
+        ("GET", "/v1/nope", 404, "no_such_route"),
+        ("POST", "/v1/models/m/activate", 404, "no_such_route"),
+        ("POST", "/v1/models/m/streams", 404, "no_such_route"),
+        ("GET", "/nope", 404, "no_such_route"),
+        ("GET", "/v1/shutdown", 405, "method_not_allowed"),
+        ("POST", "/v1/models", 405, "method_not_allowed"),
+        ("GET", "/v1/models/m/load", 405, "method_not_allowed"),
+        ("PUT", "/v1/streams/3", 405, "method_not_allowed"),
+        ("GET", "/v1/streams/3/rows", 405, "method_not_allowed"),
+        ("POST", "/metrics", 405, "method_not_allowed"),
+    ] {
+        let (status, body) = http(addr, method, target, b"");
+        assert_eq!(status, want, "{method} {target}");
+        assert!(body_str(&body).contains(token), "{method} {target}: {}", body_str(&body));
+    }
+    handle.shutdown();
+    let _ = handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // --------------------------------------------------------- graceful drain
 
 #[test]
