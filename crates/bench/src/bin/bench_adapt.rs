@@ -195,18 +195,6 @@ struct SchemeResult {
     delta_end: f32,
 }
 
-fn adaptation_policy() -> AdaptationConfig {
-    let mut ad = AdaptationConfig::enabled();
-    ad.min_samples = 64;
-    ad.recalibrate_every = 64;
-    ad.window = 256;
-    ad.finetune.enabled = true;
-    ad.finetune.interval = 256;
-    ad.finetune.reservoir = 32;
-    ad.finetune.steps = 2;
-    ad
-}
-
 fn run_scheme(
     name: &str,
     det: &TfmaeDetector,
@@ -221,7 +209,7 @@ fn run_scheme(
     let make = |adapted: bool| -> ServingEngine {
         let mut cfg = ServingConfig::new(delta, HOP);
         if adapted {
-            cfg.adaptation = adaptation_policy();
+            cfg.adaptation = AdaptationConfig { finetune: true, ..AdaptationConfig::enabled() };
         }
         let mut r = TfmaeDetector::from_checkpoint(det.to_checkpoint().expect("fitted"))
             .expect("checkpoint roundtrip");

@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tfmae_core::{
-    AdaptationConfig, FinetuneConfig, Precision, QuantStore, ServingConfig, ServingEngine,
-    StreamVerdict, TfmaeConfig, TfmaeDetector,
+    AdaptationConfig, Precision, QuantStore, ServingConfig, ServingEngine, StreamVerdict,
+    TfmaeConfig, TfmaeDetector,
 };
 use tfmae_data::{
     generate, read_csv, read_csv_lenient, write_csv, DatasetKind, Detector, TimeSeries,
@@ -32,12 +32,10 @@ USAGE:
   tfmae evaluate --model FILE.json --input FILE.csv (--ratio F | --val FILE.csv --ratio F) [--lenient]
   tfmae quantize --model FILE.json --out OUT.json [--precision <bf16|int8>]
   tfmae serve    --model FILE.json --input FILE.csv [--input FILE.csv ...]
-                 (--threshold F | --val FILE.csv [--ratio F]) [--hop N]
+                 (--threshold F | --val FILE.csv) [--ratio F] [--hop N]
                  [--precision <f32|bf16|int8>] [--out-dir DIR] [--lenient]
                  [--metrics-out FILE.json] [--metrics-prom FILE.prom]
-                 [--adapt] [--adapt-ratio F] [--adapt-every N] [--adapt-min-samples N]
-                 [--adapt-window N] [--adapt-finetune]
-                 [--adapt-save OUT.json]
+                 [--adapt] [--adapt-finetune] [--adapt-save OUT.json]
   tfmae server   --listen ADDR --registry DIR [--workers N] [--queue-cap N]
                  [--max-body BYTES] [--drain-grace-secs N]
   tfmae models   ls --registry DIR
@@ -77,16 +75,17 @@ the exact f32 model. Quantized serving releases the f32 weights, so
 --adapt-finetune is disabled for it (threshold recalibration still runs).
 
 --adapt turns on drift adaptation (default off; without it verdicts are
-bitwise identical to the frozen engine): δ is recalibrated to the (1 − r)
-quantile of recent clean serving scores every --adapt-every clean windows
-(r from --adapt-ratio, default 0.02), with quarantined/degraded rows held
-out of calibration and a 4-window re-entry delay after quarantine.
---adapt-finetune additionally fine-tunes the model in the background on a
-reservoir of clean windows; each update is snapshotted first and rolled
-back (with exponential cadence backoff) if post-update scores leave the
-guard band. --adapt-save writes the adapted model plus its adaptive state
-as one checkpoint; serving that file again with --adapt resumes δ and the
-backoff where they left off.
+bitwise identical to the frozen engine): every 64 clean scores, δ is
+recalibrated to the (1 − r) quantile of the last 256 clean serving scores,
+with quarantined/degraded rows held out of calibration and a 4-window
+re-entry delay after quarantine. r is --ratio, the same Eq. 17 ratio that
+derives δ from --val (default 0.01); under --adapt it must be in (0, 1).
+--adapt-finetune additionally fine-tunes the model in the background, 2
+steps on a reservoir of the last 32 clean windows every 256 clean scores;
+each update is snapshotted first and rolled back (with exponential cadence
+backoff) if post-update scores leave the guard band. --adapt-save writes
+the adapted model plus its adaptive state as one checkpoint; serving that
+file again with --adapt resumes δ and the backoff where they left off.
 
 `server` runs the long-lived network front-end: a model **registry**
 directory of checkpoints, each loadable as an independent tenant, with
@@ -492,14 +491,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let metrics_on = metrics_out.is_some() || metrics_prom.is_some();
 
     let adapt_on = args.has("adapt");
-    for key in [
-        "adapt-ratio",
-        "adapt-every",
-        "adapt-min-samples",
-        "adapt-window",
-        "adapt-finetune",
-        "adapt-save",
-    ] {
+    for key in ["adapt-finetune", "adapt-save"] {
         if !adapt_on && args.has(key) {
             return Err(CliError::Usage(format!("--{key} requires --adapt")));
         }
@@ -562,12 +554,17 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         }
         _ => None,
     };
+    // One Eq. 17 ratio per run: it derives δ from --val and is the
+    // adaptation's recalibration target.
+    let ratio: f64 = args.num("ratio", 0.01)?;
+    if adapt_on && !(ratio > 0.0 && ratio < 1.0) {
+        return Err(CliError::Usage(format!(
+            "--ratio must be in (0, 1) under --adapt, got {ratio}"
+        )));
+    }
     let threshold: f32 = match (threshold_flag, &val) {
         (Some(t), _) => t,
-        (None, Some(v)) => {
-            let ratio: f64 = args.num("ratio", 0.01)?;
-            threshold_for_ratio(&det.score(v), ratio)
-        }
+        (None, Some(v)) => threshold_for_ratio(&det.score(v), ratio),
         (None, None) => {
             return Err(CliError::Usage(
                 "serve needs --threshold or --val (to derive one at --ratio)".into(),
@@ -578,19 +575,11 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut cfg = ServingConfig::new(threshold, hop);
     cfg.precision = precision;
     if adapt_on {
-        let base = AdaptationConfig::enabled();
         cfg.adaptation = AdaptationConfig {
-            target_ratio: args.num("adapt-ratio", base.target_ratio)?,
-            recalibrate_every: args.num("adapt-every", base.recalibrate_every)?,
-            min_samples: args.num("adapt-min-samples", base.min_samples)?,
-            window: args.num("adapt-window", base.window)?,
-            finetune: FinetuneConfig { enabled: args.has("adapt-finetune"), ..base.finetune },
-            ..base
+            target_ratio: ratio as f32,
+            finetune: args.has("adapt-finetune"),
+            ..AdaptationConfig::enabled()
         };
-        let ratio = cfg.adaptation.target_ratio;
-        if !(ratio > 0.0 && ratio < 1.0) {
-            return Err(CliError::Usage(format!("--adapt-ratio must be in (0, 1), got {ratio}")));
-        }
     }
     let mut engine = ServingEngine::new(det, cfg);
     if let Some(snap) = &resumed {
@@ -792,8 +781,7 @@ fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
         "quantize" => &["model", "out", "precision"],
         "serve" => &[
             "model", "input", "threshold", "val", "ratio", "hop", "precision", "out-dir",
-            "lenient", "metrics-out", "metrics-prom", "adapt", "adapt-ratio", "adapt-every",
-            "adapt-min-samples", "adapt-window", "adapt-finetune", "adapt-save",
+            "lenient", "metrics-out", "metrics-prom", "adapt", "adapt-finetune", "adapt-save",
         ],
         "server" => &["listen", "registry", "workers", "queue-cap", "max-body", "drain-grace-secs"],
         "models" => &["registry"],

@@ -166,16 +166,36 @@ fn serve_rejects_out_of_range_hop_threshold_and_refresh_every() {
     let (model, data) = prepared(&dir);
     let out_dir = dir.join("never_written");
     // The model was trained with --win 32.
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["--threshold", "0.5", "--hop", "0"], "--hop must be in 1..=32"),
         (&["--threshold", "0.5", "--hop", "33"], "--hop must be in 1..=32"),
         (&["--threshold", "nan"], "--threshold must be a finite number"),
         (&["--threshold", "inf"], "--threshold must be a finite number"),
         (&["--threshold", "-inf"], "--threshold must be a finite number"),
-        // The refresh cadence and the post-quarantine holdoff are fixed
-        // engine constants, so their retired flags are unknown.
+        // The refresh cadence, the post-quarantine holdoff and the
+        // adaptation cadence and window are fixed engine constants, so
+        // their retired flags are unknown.
         (&["--threshold", "0.5", "--refresh-every", "64"], "unknown flag --refresh-every"),
         (&["--threshold", "0.5", "--adapt", "--adapt-holdoff", "4"], "unknown flag --adapt-holdoff"),
+        (&["--threshold", "0.5", "--adapt", "--adapt-every", "64"], "unknown flag --adapt-every"),
+        (
+            &["--threshold", "0.5", "--adapt", "--adapt-min-samples", "64"],
+            "unknown flag --adapt-min-samples",
+        ),
+        (
+            &["--threshold", "0.5", "--adapt", "--adapt-window", "256"],
+            "unknown flag --adapt-window",
+        ),
+        // One Eq. 17 ratio per run: --ratio is also the adaptation target.
+        (&["--threshold", "0.5", "--adapt", "--adapt-ratio", "0.02"], "unknown flag --adapt-ratio"),
+        (
+            &["--threshold", "0.5", "--adapt", "--ratio", "0"],
+            "--ratio must be in (0, 1) under --adapt, got 0",
+        ),
+        (
+            &["--threshold", "0.5", "--adapt", "--ratio", "1.5"],
+            "--ratio must be in (0, 1) under --adapt, got 1.5",
+        ),
         (&["--threshold", "0.5", "--shards", "4"], "unknown flag --shards"),
     ];
     for (flags, want) in cases {

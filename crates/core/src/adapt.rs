@@ -9,15 +9,17 @@
 //! loop with three mechanisms, each defaulting **off** so that serving with
 //! adaptation disabled stays bitwise identical to the frozen engine:
 //!
-//! 1. **Adaptive threshold** — a rolling quantile over recent *clean*
-//!    serving scores (two-generation log-bucket histograms, the same shape
-//!    as the obs [`Histogram`]) re-derives δ at the Eq. 17 ratio on a
-//!    configurable cadence, with hysteresis (`HYSTERESIS`) and a per-step
-//!    clamp (`MAX_STEP`) so δ moves smoothly. Degraded and quarantined rows
-//!    never feed the window, and a stream that exits quarantine sits out a
-//!    holdoff before its scores re-enter calibration.
-//! 2. **Guarded background fine-tune** — a reservoir of recent fully-clean
-//!    windows periodically drives a few optimizer steps through the same
+//! 1. **Adaptive threshold** — a rolling quantile over the last `WINDOW`
+//!    *clean* serving scores (two-generation log-bucket histograms, the
+//!    same shape as the obs [`Histogram`]) re-derives δ at the Eq. 17 ratio
+//!    every `RECALIBRATE_EVERY` clean scores, with hysteresis
+//!    (`HYSTERESIS`) and a per-step clamp (`MAX_STEP`) so δ moves
+//!    smoothly. Degraded and quarantined rows never feed the window, and a
+//!    stream that exits quarantine sits out a holdoff before its scores
+//!    re-enter calibration.
+//! 2. **Guarded background fine-tune** — a reservoir of the last
+//!    `RESERVOIR` fully-clean windows drives `FINETUNE_STEPS` optimizer
+//!    steps every `FINETUNE_INTERVAL` clean scores through the same
 //!    guarded step as `fit` (divergence rollback + LR backoff, see
 //!    [`crate::robust`]), after snapshotting the model weights.
 //! 3. **Quarantine-aware rollback** — every update opens a probation
@@ -28,7 +30,10 @@
 //!    exponentially (capped at `MAX_BACKOFF`). A probation served cleanly
 //!    halves the backoff again.
 //!
-//! See DESIGN.md §15 for the full state machine and failure-mode analysis.
+//! The only settings are the switches and the Eq. 17 ratio
+//! ([`AdaptationConfig`]); the cadence and sizes are the constants
+//! `bench_adapt` measures. See DESIGN.md §15 for the full state machine and
+//! failure-mode analysis.
 
 use tfmae_obs::{HistSnapshot, Histogram};
 use tfmae_tensor::{ParamSnapshot, ParamStore};
@@ -46,7 +51,8 @@ const MAX_STEP: f32 = 0.5;
 /// leaves `[1/MAX_DRIFT, MAX_DRIFT]`. Two-sided on purpose: a harmful
 /// update can blow scores up (false-positive flood) *or* collapse them
 /// (the model goes blind). The dispersion test catches a collapse to a
-/// near-constant score that leaves the median where it was.
+/// near-constant score that leaves the median where it was, once that
+/// score fills half the window (DESIGN.md §15, "Guard reach").
 const MAX_DRIFT: f64 = 4.0;
 /// Guard band: an update is also rolled back when, over at least
 /// `MIN_PROBATION_ROWS` probation rows, more than this fraction were
@@ -63,37 +69,32 @@ pub(crate) const HOLDOFF: usize = 4;
 /// Windows per background fine-tune step; an update waits until the
 /// reservoir holds this many.
 pub(crate) const FINETUNE_BATCH: usize = 8;
-
-/// Background fine-tune policy (one component of [`AdaptationConfig`]).
-#[derive(Clone, Debug)]
-pub struct FinetuneConfig {
-    /// Master switch; `false` recalibrates the threshold only.
-    pub enabled: bool,
-    /// Capacity of the clean-window reservoir (newest windows win). A value
-    /// below `FINETUNE_BATCH` (8) holds 8 windows, one update's batch.
-    pub reservoir: usize,
-    /// Clean calibration scores between fine-tune updates (multiplied by
-    /// the current rollback backoff).
-    pub interval: usize,
-    /// Optimizer steps per update (of `FINETUNE_BATCH` windows each).
-    pub steps: usize,
-}
-
-impl Default for FinetuneConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            reservoir: 64,
-            interval: 512,
-            steps: 4,
-        }
-    }
-}
+/// Clean calibration scores between recalibration attempts (multiplied by
+/// the current rollback backoff).
+const RECALIBRATE_EVERY: usize = 64;
+/// Minimum clean scores in the rolling window before δ may move (also
+/// when the drift anchor is first frozen).
+const MIN_SAMPLES: u64 = 64;
+/// Rolling score-window size, kept as two half-window histogram
+/// generations: quantiles reflect the last `WINDOW/2 .. WINDOW` clean
+/// scores. By the end of one `PROBATION` an update's scores are a third of
+/// this window, enough to move a quartile; at 1024 they would be at most a
+/// fifth (DESIGN.md §15, "Guard reach").
+const WINDOW: usize = 256;
+/// Clean calibration scores between fine-tune updates (multiplied by the
+/// current rollback backoff).
+const FINETUNE_INTERVAL: usize = 256;
+/// Capacity of the clean-window reservoir (newest windows win).
+const RESERVOIR: usize = 32;
+/// Optimizer steps per fine-tune update, of `FINETUNE_BATCH` windows each.
+pub(crate) const FINETUNE_STEPS: usize = 2;
+const _: () = assert!(RESERVOIR >= FINETUNE_BATCH, "the reservoir must hold one batch");
 
 /// Drift-adaptation policy for [`ServingEngine`](crate::ServingEngine).
 ///
 /// Disabled by default: with `enabled == false` the engine's verdicts are
-/// bitwise identical to the frozen-threshold engine (test-asserted).
+/// bitwise identical to the frozen-threshold engine (test-asserted). The
+/// cadence and sizes are fixed constants, the ones `bench_adapt` measures.
 #[derive(Clone, Debug)]
 pub struct AdaptationConfig {
     /// Master switch.
@@ -101,35 +102,19 @@ pub struct AdaptationConfig {
     /// The Eq. 17 anomaly ratio `r`: δ is recalibrated to the `(1 − r)`
     /// rolling-score quantile.
     pub target_ratio: f32,
-    /// Clean calibration scores between recalibration attempts (multiplied
-    /// by the current rollback backoff).
-    pub recalibrate_every: usize,
-    /// Minimum clean scores in the rolling window before δ may move (also
-    /// when the drift anchor is first frozen).
-    pub min_samples: usize,
-    /// Rolling score-window size; kept as two half-window histogram
-    /// generations, so quantiles always reflect the last `window/2 ..
-    /// window` clean scores.
-    pub window: usize,
-    /// Background fine-tune policy.
-    pub finetune: FinetuneConfig,
+    /// Background fine-tune on a reservoir of clean windows; `false`
+    /// recalibrates the threshold only.
+    pub finetune: bool,
 }
 
 impl Default for AdaptationConfig {
     fn default() -> Self {
-        Self {
-            enabled: false,
-            target_ratio: 0.02,
-            recalibrate_every: 256,
-            min_samples: 128,
-            window: 1024,
-            finetune: FinetuneConfig::default(),
-        }
+        Self { enabled: false, target_ratio: 0.02, finetune: false }
     }
 }
 
 impl AdaptationConfig {
-    /// An enabled configuration with the default knobs.
+    /// An enabled configuration at the default ratio, without fine-tune.
     pub fn enabled() -> Self {
         Self { enabled: true, ..Self::default() }
     }
@@ -178,7 +163,7 @@ pub struct AdaptiveSnapshot {
 /// both generations, so they always cover the last `window/2 .. window`
 /// samples with ≤ 12.5% relative bucket error.
 #[derive(Debug)]
-pub struct ScoreWindow {
+struct ScoreWindow {
     cur: Histogram,
     prev: Option<HistSnapshot>,
     half: u64,
@@ -186,13 +171,13 @@ pub struct ScoreWindow {
 
 impl ScoreWindow {
     /// A window covering (at most) the last `window` samples.
-    pub fn new(window: usize) -> Self {
+    fn new(window: usize) -> Self {
         Self { cur: Histogram::new(), prev: None, half: (window as u64 / 2).max(1) }
     }
 
     /// Records one score (micro-unit fixed point, like
     /// [`Histogram::record_micro`]); rotates generations at half-window.
-    pub fn record(&mut self, score: f64) {
+    fn record(&mut self, score: f64) {
         self.cur.record_micro(score);
         if self.cur.count() >= self.half {
             self.prev = Some(self.cur.snapshot());
@@ -201,18 +186,18 @@ impl ScoreWindow {
     }
 
     /// Samples currently covered (both generations).
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.cur.count() + self.prev.as_ref().map_or(0, |p| p.count)
     }
 
     /// Nearest-rank quantile in micro-units over the merged generations
     /// (0 when empty).
-    pub fn quantile_micro(&self, q: f64) -> u64 {
+    fn quantile_micro(&self, q: f64) -> u64 {
         self.merged().quantile(q)
     }
 
     /// Drops all samples (quarantining the window after a rollback).
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.cur = Histogram::new();
         self.prev = None;
     }
@@ -306,10 +291,9 @@ pub(crate) struct AdaptiveRuntime {
 
 impl AdaptiveRuntime {
     pub(crate) fn new(cfg: AdaptationConfig, threshold: f32) -> Self {
-        let window = ScoreWindow::new(cfg.window);
         Self {
             cfg,
-            window,
+            window: ScoreWindow::new(WINDOW),
             anchor_micro: None,
             anchor_iqr_micro: 0,
             clean_since_recal: 0,
@@ -350,7 +334,7 @@ impl AdaptiveRuntime {
         }
         self.window.record(f64::from(score));
         self.stats.clean_scores += 1;
-        if self.anchor_micro.is_none() && self.window.count() >= self.cfg.min_samples as u64 {
+        if self.anchor_micro.is_none() && self.window.count() >= MIN_SAMPLES {
             self.freeze_anchor();
         }
         if self.cfg.enabled {
@@ -372,15 +356,14 @@ impl AdaptiveRuntime {
     }
 
     /// Offers a fully-clean window to the fine-tune reservoir (ring
-    /// overwrite once at capacity, never below one update's batch).
+    /// overwrite once at capacity).
     pub(crate) fn offer_window(&mut self, values: Vec<f32>) {
-        let cap = self.cfg.finetune.reservoir.max(FINETUNE_BATCH);
-        if self.reservoir.len() < cap {
+        if self.reservoir.len() < RESERVOIR {
             self.reservoir.push(values);
         } else {
-            self.reservoir[self.next_slot % cap] = values;
+            self.reservoir[self.next_slot] = values;
         }
-        self.next_slot = (self.next_slot + 1) % cap;
+        self.next_slot = (self.next_slot + 1) % RESERVOIR;
     }
 
     pub(crate) fn reservoir_len(&self) -> usize {
@@ -398,8 +381,8 @@ impl AdaptiveRuntime {
 
     pub(crate) fn recalibration_due(&self) -> bool {
         self.cfg.enabled
-            && self.clean_since_recal >= self.cadence(self.cfg.recalibrate_every)
-            && self.window.count() >= self.cfg.min_samples as u64
+            && self.clean_since_recal >= self.cadence(RECALIBRATE_EVERY)
+            && self.window.count() >= MIN_SAMPLES
     }
 
     /// Re-derives δ from the rolling window at the Eq. 17 ratio, applying
@@ -424,9 +407,9 @@ impl AdaptiveRuntime {
 
     pub(crate) fn finetune_due(&self) -> bool {
         self.cfg.enabled
-            && self.cfg.finetune.enabled
+            && self.cfg.finetune
             && self.probation.is_none()
-            && self.clean_since_tune >= self.cadence(self.cfg.finetune.interval)
+            && self.clean_since_tune >= self.cadence(FINETUNE_INTERVAL)
             && self.reservoir.len() >= FINETUNE_BATCH
     }
 
@@ -561,20 +544,19 @@ mod tests {
 
     #[test]
     fn recalibration_respects_hysteresis_and_clamp() {
-        let mut cfg = AdaptationConfig::enabled();
-        cfg.min_samples = 16;
-        cfg.recalibrate_every = 16;
-        cfg.target_ratio = 0.5; // recalibrate to the median, easy to reason about
+        // Recalibrate to the median, easy to reason about.
+        let cfg = AdaptationConfig { target_ratio: 0.5, ..AdaptationConfig::enabled() };
         let mut rt = AdaptiveRuntime::new(cfg, 1.0);
         // Scores at the threshold scale: |Δ| below HYSTERESIS → no move.
-        for _ in 0..32 {
+        for _ in 0..RECALIBRATE_EVERY {
             rt.observe(1.01, DataQuality::Clean, true, true);
         }
         assert!(rt.recalibration_due());
         assert!(!rt.recalibrate(), "sub-hysteresis move must be skipped");
         assert_eq!(rt.threshold(), 1.0);
-        // A big shift is clamped to MAX_STEP per recalibration.
-        for _ in 0..64 {
+        // A big shift, past half the window, is clamped to MAX_STEP per
+        // recalibration.
+        for _ in 0..2 * RECALIBRATE_EVERY {
             rt.observe(10.0, DataQuality::Clean, true, true);
         }
         assert!(rt.recalibrate());
@@ -594,25 +576,46 @@ mod tests {
         assert_eq!(rt.stats().clean_scores, 0);
     }
 
+    /// One adaptation turn as the engine takes it after each flush
+    /// (`ServingEngine::run_adaptation` without the fine-tune): the guard
+    /// band first, then a due recalibration.
+    fn turn(rt: &mut AdaptiveRuntime) -> Option<ParamSnapshot> {
+        let restored = rt.probation_action();
+        if rt.recalibration_due() {
+            rt.recalibrate();
+        }
+        restored
+    }
+
+    /// A calibrated scorer's clean scores: spread over `[0.9, 1.1)` in a
+    /// scrambled order.
+    fn clean_score(i: usize) -> f32 {
+        0.9 + 0.2 * ((i * 37) % 64) as f32 / 64.0
+    }
+
+    /// Feeds `clean` clean scores, books an update, then feeds
+    /// `clean_score(i) * factor` for up to one probation, taking a turn
+    /// after every score. Returns the post-update score at which the guard
+    /// rolled back.
+    fn rollback_after(rt: &mut AdaptiveRuntime, clean: usize, factor: f32) -> Option<usize> {
+        for i in 0..clean {
+            rt.observe(clean_score(i), DataQuality::Clean, true, true);
+            assert!(turn(rt).is_none(), "no update to roll back yet");
+        }
+        rt.note_finetune(ParamStore::new().snapshot(), 0xDEAD, &TrainReport::default());
+        assert!(rt.in_probation());
+        (1..=PROBATION).find(|&k| {
+            rt.observe(clean_score(clean + k) * factor, DataQuality::Clean, true, true);
+            turn(rt).is_some()
+        })
+    }
+
     #[test]
     fn probation_rolls_back_on_drift_and_backs_off() {
-        let mut cfg = AdaptationConfig::enabled();
-        cfg.min_samples = 8;
-        cfg.window = 32;
-        let mut rt = AdaptiveRuntime::new(cfg, 1.0);
-        for _ in 0..16 {
-            rt.observe(1.0, DataQuality::Clean, true, true);
-        }
-        assert!(rt.anchor_micro.is_some());
-        let ps = ParamStore::new();
-        rt.note_finetune(ps.snapshot(), 0xDEAD, &TrainReport::default());
-        assert!(rt.in_probation());
+        let mut rt = AdaptiveRuntime::new(AdaptationConfig::enabled(), 1.0);
         // Post-update scores explode (10x > MAX_DRIFT) mid-probation.
-        for _ in 0..40 {
-            rt.observe(10.0, DataQuality::Clean, true, true);
-        }
-        let restored = rt.probation_action();
-        assert!(restored.is_some(), "guard band must hand back the snapshot");
+        let hit = rollback_after(&mut rt, MIN_SAMPLES as usize, 10.0);
+        assert!(hit.is_some(), "guard band must hand back the snapshot");
         assert_eq!(rt.stats().rollbacks, 1);
         assert_eq!(rt.stats().cadence_mult, 2, "cadence backs off exponentially");
         assert!(!rt.in_probation());
@@ -623,21 +626,28 @@ mod tests {
     fn probation_rolls_back_on_score_collapse_too() {
         // The other failure direction: a harmful update that *collapses*
         // scores (model goes blind) must trip the two-sided drift band.
-        let mut cfg = AdaptationConfig::enabled();
-        cfg.min_samples = 8;
-        cfg.window = 16;
-        let mut rt = AdaptiveRuntime::new(cfg, 1.0);
-        for _ in 0..16 {
-            rt.observe(1.0, DataQuality::Clean, true, true);
-        }
-        let ps = ParamStore::new();
-        rt.note_finetune(ps.snapshot(), 0xBEEF, &TrainReport::default());
+        let mut rt = AdaptiveRuntime::new(AdaptationConfig::enabled(), 1.0);
         // 100x down: below 1/MAX_DRIFT.
-        for _ in 0..32 {
-            rt.observe(0.01, DataQuality::Clean, true, true);
-        }
-        assert!(rt.probation_action().is_some(), "collapse must roll back");
+        let hit = rollback_after(&mut rt, MIN_SAMPLES as usize, 0.01);
+        assert!(hit.is_some(), "collapse must roll back");
         assert_eq!(rt.stats().rollbacks, 1);
+    }
+
+    #[test]
+    fn the_guard_sees_a_harmful_update_after_a_long_clean_history() {
+        // The first update waits for FINETUNE_INTERVAL clean scores, so the
+        // guard judges it against a full window of history. Its scores must
+        // still reach the quartiles within one probation, in either
+        // direction.
+        for factor in [10.0, 0.01] {
+            for clean in [FINETUNE_INTERVAL, 300, 600, 2000] {
+                let mut rt = AdaptiveRuntime::new(AdaptationConfig::enabled(), 1.0);
+                let hit = rollback_after(&mut rt, clean, factor);
+                assert!(hit.is_some(), "{factor}x after {clean} clean scores must roll back");
+                assert_eq!(rt.stats().rollbacks, 1);
+                assert!(!rt.in_probation());
+            }
+        }
     }
 
     #[test]
@@ -645,20 +655,25 @@ mod tests {
         // A harmful update can flatten the scorer into a near-constant
         // function whose median stays at the anchor: only the dispersion
         // test sees it.
-        let mut cfg = AdaptationConfig::enabled();
-        cfg.min_samples = 16;
-        cfg.window = 64;
-        let mut rt = AdaptiveRuntime::new(cfg, 1.0);
-        for i in 0..16 {
-            rt.observe(0.5 + i as f32 / 15.0, DataQuality::Clean, true, true);
+        let mut rt = AdaptiveRuntime::new(AdaptationConfig::enabled(), 1.0);
+        let n = MIN_SAMPLES as usize;
+        let clean: Vec<f32> = (0..n).map(|i| 0.5 + i as f32 / (n - 1) as f32).collect();
+        for &v in &clean {
+            rt.observe(v, DataQuality::Clean, true, true);
         }
-        let median = rt.anchor_micro.expect("anchor frozen") as f32 / 1e6;
+        assert!(rt.anchor_micro.is_some(), "anchor frozen");
         assert!(rt.anchor_iqr_micro > 0);
+        // The nearest-rank median of the ascending feed.
+        let median = clean[n / 2 - 1];
         let ps = ParamStore::new();
         rt.note_finetune(ps.snapshot(), 0xF1A7, &TrainReport::default());
-        // Three quarters of the merged window end up at the median, so the
-        // IQR collapses to zero while the probation is still open.
-        for _ in 0..48 {
+        // Booked MIN_SAMPLES scores in, mid-generation, a full probation at
+        // the median fills half the merged window, so the IQR collapses
+        // while the probation is still open. The engine books updates at or
+        // just past a generation boundary instead, where a probation fills
+        // only a third and this collapse goes unseen (DESIGN.md §15, "Guard
+        // reach").
+        for _ in 0..PROBATION {
             rt.observe(median, DataQuality::Clean, true, true);
         }
         assert!((rt.drift_ratio() - 1.0).abs() < 1e-3, "the median has not moved");
@@ -684,7 +699,7 @@ mod tests {
 
     #[test]
     fn probation_rolls_back_on_degraded_rate() {
-        // No drift anchor (min_samples is out of reach), so only the
+        // No drift anchor (MIN_SAMPLES is out of reach), so only the
         // degraded-rate test can fire.
         let cfg = AdaptationConfig::enabled();
         let mut rt = AdaptiveRuntime::new(cfg, 1.0);
@@ -711,18 +726,16 @@ mod tests {
 
     #[test]
     fn reservoir_is_a_ring() {
-        // A reservoir below one fine-tune batch holds one batch.
-        let mut cfg = AdaptationConfig::enabled();
-        cfg.finetune.reservoir = 4;
-        let mut rt = AdaptiveRuntime::new(cfg, 1.0);
-        for i in 0..10 {
+        let mut rt = AdaptiveRuntime::new(AdaptationConfig::enabled(), 1.0);
+        let offers = RESERVOIR + 10;
+        for i in 0..offers {
             rt.offer_window(vec![i as f32]);
         }
-        assert_eq!(rt.reservoir_len(), FINETUNE_BATCH);
+        assert_eq!(rt.reservoir_len(), RESERVOIR);
         let drained = rt.drain_reservoir();
         let mut vals: Vec<f32> = drained.iter().map(|w| w[0]).collect();
         vals.sort_by(f32::total_cmp);
-        let newest: Vec<f32> = (2..10).map(|i| i as f32).collect();
+        let newest: Vec<f32> = (10..offers).map(|i| i as f32).collect();
         assert_eq!(vals, newest, "newest windows survive");
         assert_eq!(rt.reservoir_len(), 0);
     }

@@ -14,7 +14,7 @@ use tfmae_nn::{Adam, Ctx};
 use tfmae_obs::{LazyCounter, LazyHistogram};
 use tfmae_tensor::{ExecStats, Executor, Graph, Precision, QuantStore, Var};
 
-use crate::adapt::FINETUNE_BATCH;
+use crate::adapt::{FINETUNE_BATCH, FINETUNE_STEPS};
 use crate::config::TfmaeConfig;
 use crate::model::{BatchInputs, TfmaeModel};
 use crate::robust::{TrainGuard, TrainReport, MAX_RETRIES_PER_BATCH};
@@ -165,9 +165,10 @@ impl TfmaeDetector {
         Ok(())
     }
 
-    /// A few guarded optimizer steps on already-normalized `[win_len ×
-    /// dims]` windows — the background fine-tune of the serving adaptation
-    /// loop (see [`crate::adapt`]), at [`TfmaeConfig::finetune_lr`] through
+    /// The adaptation loop's fixed number of guarded optimizer steps
+    /// (`FINETUNE_STEPS`, each on `FINETUNE_BATCH` windows) on
+    /// already-normalized `[win_len × dims]` windows — the background
+    /// fine-tune of the serving adaptation loop (see [`crate::adapt`]), at [`TfmaeConfig::finetune_lr`] through
     /// `fit`'s guarded step under a fresh guard. Its last update is not
     /// re-inspected: the serving guard band judges it. `salt` decorrelates
     /// the mask/shuffle RNG across successive updates (deterministic per
@@ -176,14 +177,14 @@ impl TfmaeDetector {
     /// Returns the guard's [`TrainReport`]; a default (all-zero) report is
     /// returned when the detector is unfitted, quantized (the f32 weights
     /// gradient descent needs were released) or `windows` is empty.
-    pub fn finetune(&mut self, windows: &[Vec<f32>], ft: &crate::adapt::FinetuneConfig, salt: u64) -> TrainReport {
+    pub fn finetune(&mut self, windows: &[Vec<f32>], salt: u64) -> TrainReport {
         let cfg = self.cfg.clone();
         let exec = self.exec.clone();
         if self.quant.is_some() {
             return TrainReport::default();
         }
         let Some(model) = self.model.as_mut() else { return TrainReport::default() };
-        if windows.is_empty() || ft.steps == 0 {
+        if windows.is_empty() {
             return TrainReport::default();
         }
         let row = cfg.win_len * model.dims();
@@ -198,7 +199,7 @@ impl TfmaeDetector {
         let mut order: Vec<usize> = (0..windows.len()).collect();
         let mut steps_done: u64 = 0;
         let mut aborted = false;
-        for step in 0..ft.steps {
+        for step in 0..FINETUNE_STEPS {
             order.shuffle(&mut rng);
             let b = FINETUNE_BATCH.min(windows.len());
             let mut values = Vec::with_capacity(b * row);
@@ -546,9 +547,8 @@ mod tests {
         assert!(det.set_precision(Precision::Int8).is_err());
         assert!(det.set_precision(Precision::F32).is_err());
         det.set_precision(Precision::Bf16).unwrap(); // same precision: fine
-        let ft = crate::adapt::FinetuneConfig { enabled: true, ..Default::default() };
         let windows = vec![vec![0.0; det.cfg.win_len]];
-        assert_eq!(det.finetune(&windows, &ft, 0).steps, 0, "no fine-tune when quantized");
+        assert_eq!(det.finetune(&windows, 0).steps, 0, "no fine-tune when quantized");
 
         // A refit replaces the weights and lands back in f32.
         det.fit(&train, &train);

@@ -46,9 +46,7 @@ pub mod robust;
 pub mod serving;
 
 pub use ablation::{MaskAblation, ModelAblation};
-pub use adapt::{
-    param_hash, AdaptationConfig, AdaptationStats, AdaptiveSnapshot, FinetuneConfig, ScoreWindow,
-};
+pub use adapt::{param_hash, AdaptationConfig, AdaptationStats, AdaptiveSnapshot};
 pub use checkpoint::{
     inspect_checkpoint, Checkpoint, CheckpointError, CheckpointInfo, QuantMeta,
     QuantParamMeta, CHECKPOINT_VERSION,

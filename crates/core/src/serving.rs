@@ -246,7 +246,7 @@ impl ServingConfig {
         (win_len / 4).max(1)
     }
 
-    /// Defaults: degraded mode on, f32 weights, adaptation off.
+    /// Defaults: f32 weights, adaptation off.
     pub fn new(threshold: f32, hop: usize) -> Self {
         Self {
             threshold,
@@ -844,9 +844,7 @@ impl ServingEngine {
         let track = adapt_on || tfmae_obs::enabled();
         // No reservoir when quantized: fine-tune has no f32 weights to
         // descend on, so buffering windows for it would only waste memory.
-        let reservoir_on = adapt_on
-            && self.cfg.adaptation.finetune.enabled
-            && self.det.quant().is_none();
+        let reservoir_on = adapt_on && self.cfg.adaptation.finetune && self.det.quant().is_none();
         let (threshold, norms) = (self.effective_threshold(), self.frozen_norms);
 
         // Reservoir offers happen on the coordinator in staging order (the
@@ -962,7 +960,6 @@ impl ServingEngine {
             RECALS.inc();
         }
         if self.adapt.finetune_due() && self.det.quant().is_none() {
-            let ft = self.cfg.adaptation.finetune.clone();
             let windows = self.adapt.drain_reservoir();
             if !windows.is_empty() {
                 // Snapshot the pre-update weights: this is the last-good
@@ -972,7 +969,7 @@ impl ServingEngine {
                     (ps.snapshot(), param_hash(ps))
                 };
                 let salt = self.adapt.stats().finetune_updates;
-                let report = self.det.finetune(&windows, &ft, salt);
+                let report = self.det.finetune(&windows, salt);
                 TUNES.inc();
                 TUNE_STEPS.add(report.steps);
                 self.adapt.note_finetune(snap, hash, &report);
@@ -1640,22 +1637,6 @@ mod tests {
             .filter(|v| v.is_anomaly && (win * 2..win * 3 + win / 2).contains(&(v.t as usize)))
             .count();
         assert!(hits > 0, "calibrated stream missed a sustained level shift");
-    }
-
-    #[test]
-    fn a_reservoir_below_one_batch_still_fine_tunes() {
-        // A reservoir smaller than `FINETUNE_BATCH` holds one batch anyway;
-        // capped at its own size it would never let an update run.
-        let det = fitted();
-        let mut cfg = ServingConfig::new(f32::MAX, 2);
-        cfg.adaptation = AdaptationConfig::enabled();
-        cfg.adaptation.finetune.enabled = true;
-        cfg.adaptation.finetune.reservoir = 4;
-        cfg.adaptation.finetune.interval = 16;
-        let mut eng = one_stream(det, cfg);
-        push_all(&mut eng, &series(640, 11));
-        let stats = eng.adaptation_stats();
-        assert!(stats.finetune_updates >= 1, "{stats:?}");
     }
 
     #[test]

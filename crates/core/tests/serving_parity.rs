@@ -22,8 +22,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tfmae_core::{
-    AdaptationConfig, DataQuality, FinetuneConfig, Precision, RowRejection,
-    ServingConfig, ServingEngine, ServingVerdict, StreamVerdict, TfmaeConfig, TfmaeDetector,
+    AdaptationConfig, DataQuality, Precision, RowRejection, ServingConfig, ServingEngine,
+    ServingVerdict, StreamVerdict, TfmaeConfig, TfmaeDetector,
 };
 use tfmae_data::{render, Component, Detector, TimeSeries};
 use tfmae_tensor::Executor;
@@ -322,7 +322,8 @@ fn adaptation_disabled_is_bitwise_identical_to_the_frozen_engine() {
     // With `adaptation.enabled == false` — the default — none of it may
     // change a single verdict bit, even through a quarantine cycle. An
     // *enabled* config that never gets to recalibrate must also match: δ
-    // only moves on an applied recalibration.
+    // only moves on an applied recalibration, and this run's clean scores
+    // stay below the engine's 64-score minimum for one.
     let det = fitted();
     let win = det.cfg.win_len;
     let data = series(win * 3, 50);
@@ -343,6 +344,7 @@ fn adaptation_disabled_is_bitwise_identical_to_the_frozen_engine() {
             out.extend(push(&mut eng, id, &row));
         }
         assert_eq!(eng.health(id).quarantine_entries, 1, "storm must quarantine");
+        assert_eq!(eng.adaptation_stats().recalibrations, 0, "δ must never move");
         out
     };
 
@@ -350,23 +352,13 @@ fn adaptation_disabled_is_bitwise_identical_to_the_frozen_engine() {
     assert!(frozen.iter().any(|v| v.quality == DataQuality::Degraded), "storm must bite");
     assert!(frozen.iter().any(|v| v.quality == DataQuality::Imputed), "storm starts imputed");
 
-    // Disabled, but with every knob moved off its default.
-    let knobs = AdaptationConfig {
-        min_samples: 4,
-        window: 32,
-        recalibrate_every: 8,
-        finetune: FinetuneConfig { enabled: true, ..FinetuneConfig::default() },
-        ..AdaptationConfig::default()
-    };
+    // Disabled, but with every setting moved off its default.
+    let knobs =
+        AdaptationConfig { target_ratio: 0.3, finetune: true, ..AdaptationConfig::default() };
     let with_knobs = run(replicate(&det), knobs);
 
-    // Enabled but inert: cadence/min-samples out of reach, so δ never moves.
-    let inert = AdaptationConfig {
-        recalibrate_every: usize::MAX,
-        min_samples: usize::MAX,
-        ..AdaptationConfig::enabled()
-    };
-    let enabled_inert = run(det, inert);
+    // Enabled but inert: too few clean scores to recalibrate.
+    let enabled_inert = run(det, AdaptationConfig::enabled());
 
     assert_eq!(frozen.len(), with_knobs.len());
     assert_eq!(frozen.len(), enabled_inert.len());
@@ -445,14 +437,11 @@ fn enabled_adaptation_recalibrates_delta_from_serving_scores() {
     let det = fitted();
     let win = det.cfg.win_len;
     let mut cfg = ServingConfig::new(1000.0, 2);
-    let mut ad = AdaptationConfig::enabled();
-    ad.min_samples = 32;
-    ad.recalibrate_every = 32;
-    ad.window = 128;
-    cfg.adaptation = ad;
+    cfg.adaptation = AdaptationConfig::enabled();
     let mut eng = ServingEngine::new(det, cfg);
     let id = eng.add_stream();
-    let data = series(win + 128, 52);
+    // Past two of the engine's 64-clean-score recalibration periods.
+    let data = series(win + 256, 52);
     for t in 0..data.len() {
         push(&mut eng, id, data.row(t));
     }
@@ -625,11 +614,7 @@ fn shard_count_invariance_with_adaptation_enabled() {
     // At 2 lanes the three windows due per hop chunk as
     // `chunk_sizes(3, 2, 16) == [2, 1]`.
     let mut cfg = ServingConfig::new(1000.0, 2);
-    let mut ad = AdaptationConfig::enabled();
-    ad.min_samples = 32;
-    ad.recalibrate_every = 32;
-    ad.window = 128;
-    cfg.adaptation = ad;
+    cfg.adaptation = AdaptationConfig::enabled();
     let (_, _, thr) =
         serve_trace(replicate(&det), cfg.clone(), &datas, None, NO_FAULT, ALL, NO_EXTRA);
     assert!(thr < 1000.0, "run must actually recalibrate for this test to bite");

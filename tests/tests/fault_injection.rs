@@ -314,39 +314,48 @@ fn regime_shift_battery_degrades_gracefully() {
     }
 }
 
-#[test]
-fn harmful_finetune_update_rolls_back_to_last_good_and_backs_off() {
-    // Force a harmful background update through: the fine-tune LR (`lr/10`)
-    // is absurd, and nothing re-checks the weights after the last fine-tune
-    // step, so the update corrupts them. The probation guard band must notice
-    // (score drift and/or degraded-rate blow-out), restore the pre-update
-    // snapshot bit-exactly, and back the adaptation cadence off.
-    tfmae_obs::set_enabled(true);
+/// An adapting, fine-tuning engine whose detector's fine-tune LR (`lr/10`)
+/// is absurd: nothing re-checks the weights after the last fine-tune step,
+/// so the first background update corrupts them. Returns the engine, the
+/// pre-update weight hash, the clean feed, and the number of feed rows
+/// served when that first update was booked.
+fn engine_after_a_harmful_update() -> (ServingEngine, u32, TimeSeries, usize) {
     let mut det = fitted(23);
     det.cfg.lr = 1e6;
     let win = det.cfg.win_len;
-
-    let mut ad = AdaptationConfig::enabled();
-    ad.min_samples = 8;
-    // A short window so the rolling median crosses over to post-update
-    // scores well inside the probation span.
-    ad.window = 16;
-    ad.recalibrate_every = usize::MAX; // isolate the fine-tune/rollback path
-    ad.finetune.enabled = true;
-    ad.finetune.interval = 16;
-    // Exactly one fine-tune batch (the engine's fixed 8 windows) of reservoir.
-    ad.finetune.reservoir = 8;
-    ad.finetune.steps = 2;
-
     let mut cfg = ServingConfig::new(f32::MAX, 2);
-    cfg.adaptation = ad;
+    cfg.adaptation = AdaptationConfig { finetune: true, ..AdaptationConfig::enabled() };
     let mut eng = one_stream(det, cfg);
-
     let pristine = param_hash(&eng.detector().model().expect("fitted").ps);
     let data = series(win * 2, 24);
-    let mut rolled_back = false;
-    for t in 0..win * 20 {
+    // The first update waits for 256 clean scores.
+    let mut t = 0;
+    while eng.adaptation_stats().finetune_updates == 0 && t < win * 20 {
         push(&mut eng, data.row(t % data.len()));
+        t += 1;
+    }
+    let stats = eng.adaptation_stats();
+    assert_eq!(stats.finetune_updates, 1, "{stats:?}");
+    assert_eq!(stats.last_good_hash, pristine, "last-good snapshot must be the pre-update weights");
+    assert_ne!(param_hash(&eng.detector().model().expect("fitted").ps), pristine);
+    (eng, pristine, data, t)
+}
+
+#[test]
+fn harmful_finetune_update_rolls_back_to_last_good_and_backs_off() {
+    // A harmful update is followed by a dead feed. The probation guard band
+    // must notice (its degraded-rate test: the score statistics cannot see
+    // this update, see the next test), restore the pre-update snapshot
+    // bit-exactly, and back the adaptation cadence off.
+    tfmae_obs::set_enabled(true);
+    let (mut eng, pristine, data, t0) = engine_after_a_harmful_update();
+    let win = eng.detector().cfg.win_len;
+    let mut rolled_back = false;
+    for t in t0..t0 + win * 4 {
+        // 24 bad rows (8 imputed, then degraded, quarantined from the
+        // 16th), then clean rows until the first flush after recovery.
+        let row = if t < t0 + 24 { vec![f32::NAN; 2] } else { data.row(t % data.len()).to_vec() };
+        push(&mut eng, &row);
         if eng.adaptation_stats().rollbacks >= 1 {
             rolled_back = true;
             break;
@@ -355,10 +364,7 @@ fn harmful_finetune_update_rolls_back_to_last_good_and_backs_off() {
     let stats = eng.adaptation_stats().clone();
     assert!(rolled_back, "guard band must catch the harmful update: {stats:?}");
     assert!(stats.finetune_updates >= 1, "{stats:?}");
-    assert_eq!(
-        stats.last_good_hash, pristine,
-        "last-good snapshot must be the pre-update weights"
-    );
+    assert_eq!(stats.last_good_hash, pristine, "last-good snapshot must be the pre-update weights");
     assert_eq!(
         param_hash(&eng.detector().model().expect("fitted").ps),
         pristine,
@@ -373,6 +379,29 @@ fn harmful_finetune_update_rolls_back_to_last_good_and_backs_off() {
     });
     tfmae_obs::set_enabled(false);
     assert!(rollback_counter, "serve.adapt_rollbacks must have been incremented");
+}
+
+#[test]
+fn a_harmful_update_that_collapses_scores_escapes_the_score_guard() {
+    // Pins a known blind spot of the guard band (DESIGN.md §15). The
+    // harmful update collapses this model's scores to near-constant values
+    // close to the pre-update median. Updates land when the score window
+    // has just rotated, so by the end of the probation post-update scores
+    // are at most a third of the window: neither the median nor the
+    // dispersion test trips, and the corrupted weights stay in service.
+    // A guard that sees this update must flip these assertions.
+    let (mut eng, pristine, data, t0) = engine_after_a_harmful_update();
+    let clean_at_update = eng.adaptation_stats().clean_scores;
+    let mut t = t0;
+    // Past the 64-score probation, one clean flush at a time.
+    while eng.adaptation_stats().clean_scores < clean_at_update + 66 {
+        push(&mut eng, data.row(t % data.len()));
+        t += 1;
+    }
+    let stats = eng.adaptation_stats();
+    assert_eq!(stats.rollbacks, 0, "{stats:?}");
+    assert_eq!(stats.cadence_mult, 1, "the probation ended as clean: {stats:?}");
+    assert_ne!(param_hash(&eng.detector().model().expect("fitted").ps), pristine);
 }
 
 #[test]

@@ -105,7 +105,7 @@ fn serving_engine_applies_precision_and_skips_finetune() {
         let mut cfg = ServingConfig::new(f32::MAX, hop);
         cfg.precision = precision;
         cfg.adaptation.enabled = true;
-        cfg.adaptation.finetune.enabled = true;
+        cfg.adaptation.finetune = true;
         let mut eng = ServingEngine::new(det, cfg);
         let id = eng.add_stream();
         let mut out = Vec::new();
